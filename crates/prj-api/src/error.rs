@@ -8,100 +8,71 @@
 
 use std::fmt;
 
-/// Stable, machine-readable classification of an API failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorKind {
+/// Declares [`ErrorKind`] and its wire tokens from one list, so a kind
+/// cannot exist without a token.
+macro_rules! error_kinds {
+    ($($(#[$doc:meta])* $kind:ident = $code:literal,)+) => {
+        /// Stable, machine-readable classification of an API failure.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum ErrorKind {
+            $($(#[$doc])* $kind,)+
+        }
+
+        /// Every kind with its stable wire token, in declaration order.
+        const CODES: &[(ErrorKind, &str)] = &[$((ErrorKind::$kind, $code),)+];
+    };
+}
+
+error_kinds! {
     /// The peer speaks a different protocol version.
-    Version,
+    Version = "version",
     /// The message could not be parsed.
-    Malformed,
+    Malformed = "malformed",
     /// A referenced relation id or name is not in the catalog.
-    UnknownRelation,
+    UnknownRelation = "unknown-relation",
     /// The referenced relation exists but has been dropped.
-    RelationDropped,
+    RelationDropped = "relation-dropped",
     /// The requested scoring name is not in the engine's registry.
-    UnknownScoring,
+    UnknownScoring = "unknown-scoring",
     /// The scoring parameters were rejected by the scoring factory.
-    InvalidParams,
+    InvalidParams = "invalid-params",
     /// The query itself is invalid (empty relation list, k = 0, dimension
     /// mismatch, …).
-    InvalidQuery,
+    InvalidQuery = "invalid-query",
     /// The ProxRJ operator rejected or failed the run.
-    Operator,
+    Operator = "operator",
     /// Transport failure (connection lost, short read, …).
-    Io,
+    Io = "io",
     /// A cluster worker needed for the request is unreachable and no
-    /// replica could take over (`prj/2`).
-    WorkerUnavailable,
+    /// replica could take over.
+    WorkerUnavailable = "worker-unavailable",
     /// The cluster answered, but in a degraded state: part of the fleet is
     /// inconsistent or lost and the operation could not be completed
-    /// exactly (`prj/2`).
-    Degraded,
+    /// exactly.
+    Degraded = "degraded",
     /// A worker's replicated catalog is at a different epoch than the
     /// coordinator snapshot that produced the request; the caller should
-    /// re-snapshot and retry (`prj/2`).
-    StaleEpoch,
+    /// re-snapshot and retry.
+    StaleEpoch = "stale-epoch",
     /// The request kind is understood but not served by this endpoint
     /// (e.g. a cluster-internal message sent to a plain server).
-    Unsupported,
+    Unsupported = "unsupported",
     /// Anything else; a bug if ever observed.
-    Internal,
+    Internal = "internal",
 }
 
 impl ErrorKind {
     /// The stable wire token for this kind.
     pub fn code(&self) -> &'static str {
-        match self {
-            ErrorKind::Version => "version",
-            ErrorKind::Malformed => "malformed",
-            ErrorKind::UnknownRelation => "unknown-relation",
-            ErrorKind::RelationDropped => "relation-dropped",
-            ErrorKind::UnknownScoring => "unknown-scoring",
-            ErrorKind::InvalidParams => "invalid-params",
-            ErrorKind::InvalidQuery => "invalid-query",
-            ErrorKind::Operator => "operator",
-            ErrorKind::Io => "io",
-            ErrorKind::WorkerUnavailable => "worker-unavailable",
-            ErrorKind::Degraded => "degraded",
-            ErrorKind::StaleEpoch => "stale-epoch",
-            ErrorKind::Unsupported => "unsupported",
-            ErrorKind::Internal => "internal",
-        }
-    }
-
-    /// `true` when the kind exists in the original `prj/1` vocabulary. A
-    /// response encoded at `prj/1` downgrades newer kinds to
-    /// [`ErrorKind::Internal`] (keeping the original code in the message)
-    /// so a `prj/1` peer never sees a code it cannot parse.
-    pub fn known_to_v1(&self) -> bool {
-        !matches!(
-            self,
-            ErrorKind::WorkerUnavailable
-                | ErrorKind::Degraded
-                | ErrorKind::StaleEpoch
-                | ErrorKind::Unsupported
-        )
+        CODES[*self as usize].1
     }
 
     /// Parses a wire token back into a kind.
     pub fn from_code(code: &str) -> Option<ErrorKind> {
-        Some(match code {
-            "version" => ErrorKind::Version,
-            "malformed" => ErrorKind::Malformed,
-            "unknown-relation" => ErrorKind::UnknownRelation,
-            "relation-dropped" => ErrorKind::RelationDropped,
-            "unknown-scoring" => ErrorKind::UnknownScoring,
-            "invalid-params" => ErrorKind::InvalidParams,
-            "invalid-query" => ErrorKind::InvalidQuery,
-            "operator" => ErrorKind::Operator,
-            "io" => ErrorKind::Io,
-            "worker-unavailable" => ErrorKind::WorkerUnavailable,
-            "degraded" => ErrorKind::Degraded,
-            "stale-epoch" => ErrorKind::StaleEpoch,
-            "unsupported" => ErrorKind::Unsupported,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
+        CODES
+            .iter()
+            .find(|(_, c)| *c == code)
+            .map(|(kind, _)| *kind)
     }
 }
 
@@ -149,36 +120,12 @@ mod tests {
 
     #[test]
     fn kinds_round_trip_through_codes() {
-        let kinds = [
-            ErrorKind::Version,
-            ErrorKind::Malformed,
-            ErrorKind::UnknownRelation,
-            ErrorKind::RelationDropped,
-            ErrorKind::UnknownScoring,
-            ErrorKind::InvalidParams,
-            ErrorKind::InvalidQuery,
-            ErrorKind::Operator,
-            ErrorKind::Io,
-            ErrorKind::WorkerUnavailable,
-            ErrorKind::Degraded,
-            ErrorKind::StaleEpoch,
-            ErrorKind::Unsupported,
-            ErrorKind::Internal,
-        ];
-        for kind in kinds {
-            assert_eq!(ErrorKind::from_code(kind.code()), Some(kind));
+        for (i, (kind, code)) in CODES.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "CODES is in declaration order");
+            assert_eq!(kind.code(), *code);
+            assert_eq!(ErrorKind::from_code(code), Some(*kind));
         }
         assert_eq!(ErrorKind::from_code("no-such-kind"), None);
-    }
-
-    #[test]
-    fn cluster_kinds_are_not_part_of_the_v1_vocabulary() {
-        assert!(ErrorKind::Version.known_to_v1());
-        assert!(ErrorKind::Io.known_to_v1());
-        assert!(!ErrorKind::WorkerUnavailable.known_to_v1());
-        assert!(!ErrorKind::Degraded.known_to_v1());
-        assert!(!ErrorKind::StaleEpoch.known_to_v1());
-        assert!(!ErrorKind::Unsupported.known_to_v1());
     }
 
     #[test]

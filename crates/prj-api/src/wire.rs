@@ -1,61 +1,36 @@
-//! The line wire codec: `prj/1 …` / `prj/2 …`, one message per line.
+//! The line wire codec: `prj/2 …`, one message per line.
 //!
-//! The format is a versioned, human-readable text protocol chosen so that a
-//! round-trip needs nothing beyond a TCP stream and `BufRead::read_line` —
-//! no serialisation dependency, debuggable with `nc`. Grammar (one message
-//! per `\n`-terminated line):
+//! A human-readable text protocol chosen so that a round-trip needs nothing
+//! beyond a TCP stream and `BufRead::read_line` — no serialisation
+//! dependency, debuggable with `nc`:
 //!
 //! ```text
-//! request  := "prj/" ver SP verb (SP key "=" value)*
-//! verb     := "register" | "append" | "drop" | "topk" | "stream" | "stats"
-//!           | "hello"
-//!           | "unit" | "assign" | "wstats" | "metrics"
-//!           | "subscribe" | "unsubscribe"                   (prj/2 only)
-//! tuples   := tuple (";" tuple)*          tuple  := f64 ("," f64)* ":" f64
-//! rels     := ref ("," ref)*              ref    := "#" usize | ident
-//! scoring  := ident [":" f64 ("," f64)*]
-//! epochs   := u64-list ("|" u64-list)*
-//! trace    := u64 ":" u64                 (trace id ":" parent span id)
-//!
-//! response := "prj/" ver SP "ok" SP form (SP key "=" value)*
-//!           | "prj/" ver SP "err" SP "kind=" code SP "msg=" rest-of-line
-//! row      := f64 "@" usize ":" usize ("+" usize ":" usize)*
-//! urow     := f64 "@" umember ("+" umember)*
-//! umember  := usize ":" usize ":" f64 ":" f64 ("," f64)*
-//! spans    := span (";" span)*
-//! span     := ident ":" u64 ":" u64 ":" u64 ":" u64
-//!             (name : id : parent-or-0 : start_us : dur_us)
-//! samples  := sample (";" sample)*
-//! sample   := ident ["{" ident "=" lval ("," ident "=" lval)* "}"]
-//!             ":" ("c"|"g"|"h") ":" f64
-//! events   := event (";" event)*
-//! event    := "e:" usize ":" row          (enter at rank, full row)
-//!           | "x:" usize                  (exit, old rank)
-//!           | "m:" usize ":" usize        (rank change, from:to)
-//!           | "s:" usize ":" f64          (score change at rank)
+//! request  := "prj/2" SP verb (SP key "=" value)*
+//! response := "prj/2 ok" SP form (SP key "=" value)*
+//!           | "prj/2 err kind=" code " msg=" rest-of-line
 //! ```
 //!
-//! A `trace=` field (`prj/2` only) may ride on `topk`, `stream`, and
-//! `unit` requests; `spans=` on `unit` responses and `samples=` on
-//! `metrics` responses carry the observability payloads. Label values
-//! (`lval`) exclude whitespace and the grammar's separators.
+//! Every verb and form is declared once, in the `messages!` tables below,
+//! as its keys and each key's value type; every compound value (a tuple,
+//! a result row, a span, …) is declared once as a `record!` of its parts
+//! and their separator. The encoder and the decoder are both generated
+//! from those declarations, so the two directions cannot drift apart. A
+//! line carrying a key its message does not declare, or a key twice, is
+//! malformed.
 //!
 //! Floats are emitted with Rust's shortest-round-trip formatting, so decode
-//! ∘ encode is the identity on every finite and non-finite value. Relation
-//! names are restricted to `[A-Za-z0-9_.-]+` (and must not start with `#`,
-//! which introduces id references) so they never collide with the grammar's
-//! separators.
+//! ∘ encode is the identity on every finite and non-finite value. Names
+//! (relations, scorings, spans, metrics) are restricted to
+//! `[A-Za-z0-9_.-]+` and must not start with `#`, which introduces id
+//! references; free text (planner rationales, trace roots, worker
+//! addresses, algorithm ids) is percent-encoded. Booleans are spelled
+//! `true`/`false` and nothing else.
 //!
-//! ## Version handling
+//! ## One dialect
 //!
-//! The decoder accepts every version in
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`]. The pre-existing
-//! verbs and forms are identical under either prefix; the cluster-internal
-//! verbs require `prj/2` and decode to a *typed* [`ErrorKind::Version`]
-//! error on a `prj/1` line. Responses are expected to be encoded at the
-//! version the request arrived in ([`encode_response_at`]); encoding an
-//! error at `prj/1` downgrades post-`prj/1` error kinds to `internal` so
-//! old peers never read a code outside their vocabulary.
+//! This build speaks `prj/2` only. A line with any other prefix — `prj/1`
+//! included — is refused with a typed [`ErrorKind::Version`] error, and a
+//! server answers every line, undecodable ones too, at `prj/2`.
 
 use crate::error::{ApiError, ErrorKind};
 use crate::events::{ChangeEvent, Notification};
@@ -67,10 +42,16 @@ use crate::response::{
     RelationPlanStat, Response, ResultRow, SpanRecord, StatsReport, TraceSummary, TrajectorySample,
     UnitMember, UnitOutcome, UnitPlanReport, UnitProfile, UnitRow, WorkerHealth,
 };
-use crate::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::PROTOCOL_VERSION;
 use prj_access::AccessKind;
 use prj_core::Algorithm;
 use std::fmt::Write as _;
+
+type R<T> = Result<T, ApiError>;
+
+/// The prefix of every line.
+const PREFIX: &str = "prj/2";
+const _: () = assert!(PROTOCOL_VERSION == 2, "PREFIX spells PROTOCOL_VERSION");
 
 /// `true` when `name` is usable on the wire without escaping.
 pub fn is_wire_safe_name(name: &str) -> bool {
@@ -79,409 +60,6 @@ pub fn is_wire_safe_name(name: &str) -> bool {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
-}
-
-fn version_prefix(version: u32) -> String {
-    format!("prj/{version}")
-}
-
-/// The lowest protocol version able to carry `request`: the original kinds
-/// stay encodable at `prj/1` (so they keep working against old servers),
-/// the cluster-internal kinds need `prj/2`.
-pub fn request_version(request: &Request) -> u32 {
-    match request {
-        Request::RegisterRelation { .. }
-        | Request::AppendTuples { .. }
-        | Request::DropRelation { .. }
-        | Request::Stats => MIN_PROTOCOL_VERSION,
-        // A query stays a prj/1 line — unless it carries a trace context,
-        // which entered the grammar with prj/2.
-        Request::TopK(q) | Request::Stream(q) => {
-            if q.trace.is_some() {
-                PROTOCOL_VERSION
-            } else {
-                MIN_PROTOCOL_VERSION
-            }
-        }
-        Request::Hello { .. }
-        | Request::ExecuteUnit(_)
-        | Request::ShardAssignment { .. }
-        | Request::WorkerStats
-        | Request::Metrics
-        | Request::Subscribe(_)
-        | Request::Unsubscribe { .. }
-        | Request::Explain { .. }
-        | Request::FetchTrace { .. }
-        | Request::ListTraces
-        | Request::Health => PROTOCOL_VERSION,
-    }
-}
-
-/// The lowest protocol version able to carry `response`.
-pub fn response_version(response: &Response) -> u32 {
-    match response {
-        Response::Registered { .. }
-        | Response::Appended { .. }
-        | Response::Dropped { .. }
-        | Response::Results { .. }
-        | Response::StreamItem(_)
-        | Response::StreamEnd { .. }
-        | Response::Stats(_)
-        // The negotiation answer must be expressible in *every* dialect —
-        // a conservative peer probing with `prj/1 hello` deserves a real
-        // ack, not an error (old servers reject the verb as malformed,
-        // which the negotiating client already handles).
-        | Response::HelloAck { .. }
-        | Response::Error(_) => MIN_PROTOCOL_VERSION,
-        Response::Unit(_)
-        | Response::AssignmentAck { .. }
-        | Response::WorkerReport { .. }
-        | Response::Metrics(_)
-        | Response::Subscribed { .. }
-        | Response::Unsubscribed { .. }
-        | Response::Notify(_)
-        | Response::Explain(_)
-        | Response::Trace { .. }
-        | Response::Traces { .. }
-        | Response::Health(_) => PROTOCOL_VERSION,
-    }
-}
-
-/// Splits off and checks the `prj/N` prefix, returning the version and the
-/// rest of the line. Versions outside the supported range are a typed
-/// [`ErrorKind::Version`] error.
-fn strip_version(line: &str) -> Result<(u32, &str), ApiError> {
-    let line = line.trim_end_matches(['\r', '\n']);
-    let (head, rest) = line
-        .split_once(' ')
-        .map(|(h, r)| (h, r.trim_start()))
-        .unwrap_or((line, ""));
-    let Some(version) = head.strip_prefix("prj/") else {
-        return Err(ApiError::malformed(format!(
-            "expected a prj/{MIN_PROTOCOL_VERSION}..prj/{PROTOCOL_VERSION} message, got {head:?}"
-        )));
-    };
-    let parsed: u32 = version.parse().map_err(|_| {
-        ApiError::malformed(format!("{version:?} is not a protocol version number"))
-    })?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&parsed) {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!(
-                "peer speaks prj/{parsed}, this build speaks \
-                 prj/{MIN_PROTOCOL_VERSION}..prj/{PROTOCOL_VERSION}"
-            ),
-        ));
-    }
-    Ok((parsed, rest))
-}
-
-/// Key=value fields after the verb. `msg` is handled separately because its
-/// value runs to the end of the line.
-fn parse_fields(rest: &str) -> Result<Vec<(&str, &str)>, ApiError> {
-    let mut fields = Vec::new();
-    for token in rest.split_whitespace() {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| ApiError::malformed(format!("field {token:?} is not key=value")))?;
-        fields.push((key, value));
-    }
-    Ok(fields)
-}
-
-fn field<'a>(fields: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-}
-
-fn require<'a>(fields: &[(&str, &'a str)], key: &str, verb: &str) -> Result<&'a str, ApiError> {
-    field(fields, key)
-        .ok_or_else(|| ApiError::malformed(format!("{verb} request is missing {key}=")))
-}
-
-fn parse_f64(s: &str) -> Result<f64, ApiError> {
-    s.parse::<f64>()
-        .map_err(|_| ApiError::malformed(format!("{s:?} is not a number")))
-}
-
-fn parse_usize(s: &str) -> Result<usize, ApiError> {
-    s.parse::<usize>()
-        .map_err(|_| ApiError::malformed(format!("{s:?} is not a non-negative integer")))
-}
-
-fn parse_u64(s: &str) -> Result<u64, ApiError> {
-    s.parse::<u64>()
-        .map_err(|_| ApiError::malformed(format!("{s:?} is not a non-negative integer")))
-}
-
-fn parse_f64_list(s: &str) -> Result<Vec<f64>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',').map(parse_f64).collect()
-}
-
-fn parse_u64_list(s: &str) -> Result<Vec<u64>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',').map(parse_u64).collect()
-}
-
-fn encode_u64_list(out: &mut String, values: &[u64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-}
-
-fn encode_f64_list(out: &mut String, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v:?}");
-    }
-}
-
-fn parse_usize_list(s: &str) -> Result<Vec<usize>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',').map(parse_usize).collect()
-}
-
-fn encode_usize_list(out: &mut String, values: &[usize]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-}
-
-/// `epochs`: per-relation epoch vectors, `|`-separated, each a comma list.
-fn parse_epochs(s: &str) -> Result<Vec<Vec<u64>>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split('|').map(parse_u64_list).collect()
-}
-
-fn encode_epochs(out: &mut String, epochs: &[Vec<u64>]) {
-    for (i, vector) in epochs.iter().enumerate() {
-        if i > 0 {
-            out.push('|');
-        }
-        encode_u64_list(out, vector);
-    }
-}
-
-fn parse_relation_ref(s: &str) -> Result<RelationRef, ApiError> {
-    if let Some(id) = s.strip_prefix('#') {
-        return Ok(RelationRef::Id(parse_usize(id)?));
-    }
-    if !is_wire_safe_name(s) {
-        return Err(ApiError::malformed(format!(
-            "{s:?} is not a valid relation reference (want #<id> or [A-Za-z0-9_.-]+)"
-        )));
-    }
-    Ok(RelationRef::Name(s.to_string()))
-}
-
-fn encode_relation_ref(r: &RelationRef) -> Result<String, ApiError> {
-    match r {
-        RelationRef::Id(id) => Ok(format!("#{id}")),
-        RelationRef::Name(name) => {
-            if !is_wire_safe_name(name) {
-                return Err(ApiError::malformed(format!(
-                    "relation name {name:?} is not wire-safe ([A-Za-z0-9_.-]+)"
-                )));
-            }
-            Ok(name.clone())
-        }
-    }
-}
-
-fn parse_tuples(s: &str) -> Result<Vec<TupleData>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(';')
-        .map(|t| {
-            let (coords, score) = t.rsplit_once(':').ok_or_else(|| {
-                ApiError::malformed(format!("tuple {t:?} is missing its :score suffix"))
-            })?;
-            if coords.is_empty() {
-                // The grammar requires at least one coordinate per tuple.
-                return Err(ApiError::malformed(format!(
-                    "tuple {t:?} has no coordinates"
-                )));
-            }
-            Ok(TupleData {
-                coords: parse_f64_list(coords)?,
-                score: parse_f64(score)?,
-            })
-        })
-        .collect()
-}
-
-fn encode_tuples(tuples: &[TupleData]) -> String {
-    let mut out = String::new();
-    for (i, t) in tuples.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        encode_f64_list(&mut out, &t.coords);
-        let _ = write!(out, ":{:?}", t.score);
-    }
-    out
-}
-
-fn parse_access(s: &str) -> Result<AccessKind, ApiError> {
-    match s {
-        "distance" => Ok(AccessKind::Distance),
-        "score" => Ok(AccessKind::Score),
-        _ => Err(ApiError::malformed(format!(
-            "{s:?} is not an access kind (distance|score)"
-        ))),
-    }
-}
-
-fn encode_access(kind: AccessKind) -> &'static str {
-    match kind {
-        AccessKind::Distance => "distance",
-        AccessKind::Score => "score",
-    }
-}
-
-fn parse_algorithm(s: &str) -> Result<Algorithm, ApiError> {
-    match s.to_ascii_uppercase().as_str() {
-        "CBRR" => Ok(Algorithm::Cbrr),
-        "CBPA" => Ok(Algorithm::Cbpa),
-        "TBRR" => Ok(Algorithm::Tbrr),
-        "TBPA" => Ok(Algorithm::Tbpa),
-        _ => Err(ApiError::malformed(format!(
-            "{s:?} is not an algorithm (cbrr|cbpa|tbrr|tbpa)"
-        ))),
-    }
-}
-
-fn parse_scoring(s: &str) -> Result<ScoringSelector, ApiError> {
-    let (name, params) = match s.split_once(':') {
-        Some((name, params)) => (name, parse_f64_list(params)?),
-        None => (s, Vec::new()),
-    };
-    if !is_wire_safe_name(name) {
-        return Err(ApiError::malformed(format!(
-            "scoring name {name:?} is not wire-safe"
-        )));
-    }
-    Ok(ScoringSelector {
-        name: name.to_string(),
-        params,
-    })
-}
-
-fn encode_scoring(s: &ScoringSelector) -> Result<String, ApiError> {
-    if !is_wire_safe_name(&s.name) {
-        return Err(ApiError::malformed(format!(
-            "scoring name {:?} is not wire-safe",
-            s.name
-        )));
-    }
-    let mut out = s.name.clone();
-    if !s.params.is_empty() {
-        out.push(':');
-        encode_f64_list(&mut out, &s.params);
-    }
-    Ok(out)
-}
-
-/// `trace`: `<trace_id>:<parent_span_id>` (parent 0 = no parent).
-fn parse_trace(s: &str) -> Result<TraceContext, ApiError> {
-    let (trace, parent) = s.split_once(':').ok_or_else(|| {
-        ApiError::malformed(format!("trace context {s:?} is not trace_id:parent_id"))
-    })?;
-    let trace = parse_u64(trace)?;
-    if trace == 0 {
-        return Err(ApiError::malformed("trace id must be nonzero"));
-    }
-    Ok(TraceContext {
-        trace,
-        parent: parse_u64(parent)?,
-    })
-}
-
-fn encode_trace(out: &mut String, trace: TraceContext) {
-    let _ = write!(out, " trace={}:{}", trace.trace, trace.parent);
-}
-
-/// `span`: `name:id:parent:start_us:dur_us`; spans are `;`-joined.
-fn parse_span_record(s: &str) -> Result<SpanRecord, ApiError> {
-    let mut parts = s.split(':');
-    let (Some(name), Some(id), Some(parent), Some(start), Some(dur), None) = (
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-    ) else {
-        return Err(ApiError::malformed(format!(
-            "span {s:?} is not name:id:parent:start_us:dur_us"
-        )));
-    };
-    if !is_wire_safe_name(name) {
-        return Err(ApiError::malformed(format!(
-            "span name {name:?} is not wire-safe"
-        )));
-    }
-    let id = parse_u64(id)?;
-    if id == 0 {
-        return Err(ApiError::malformed(format!("span {s:?} has id 0")));
-    }
-    Ok(SpanRecord {
-        name: name.to_string(),
-        id,
-        parent: parse_u64(parent)?,
-        start_micros: parse_u64(start)?,
-        duration_micros: parse_u64(dur)?,
-    })
-}
-
-fn parse_span_records(s: &str) -> Result<Vec<SpanRecord>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(';').map(parse_span_record).collect()
-}
-
-fn encode_span_records(out: &mut String, spans: &[SpanRecord]) -> Result<(), ApiError> {
-    for (i, span) in spans.iter().enumerate() {
-        if !is_wire_safe_name(&span.name) {
-            return Err(ApiError::malformed(format!(
-                "span name {:?} is not wire-safe",
-                span.name
-            )));
-        }
-        if span.id == 0 {
-            return Err(ApiError::malformed(format!(
-                "span {:?} has id 0",
-                span.name
-            )));
-        }
-        if i > 0 {
-            out.push(';');
-        }
-        let _ = write!(
-            out,
-            "{}:{}:{}:{}:{}",
-            span.name, span.id, span.parent, span.start_micros, span.duration_micros
-        );
-    }
-    Ok(())
 }
 
 /// `true` when a metric label value fits on the wire unescaped: printable
@@ -493,1020 +71,1009 @@ fn is_metric_value_safe(value: &str) -> bool {
             .all(|c| c.is_ascii_graphic() && !matches!(c, ';' | ':' | ',' | '{' | '}' | '='))
 }
 
-/// `sample`: `name[{k=v,...}]:kind:value`; samples are `;`-joined.
-fn parse_metric_sample(s: &str) -> Result<MetricSample, ApiError> {
-    let err = || {
-        ApiError::malformed(format!(
-            "metric sample {s:?} is not name[{{labels}}]:kind:value"
-        ))
-    };
-    let (head, value) = s.rsplit_once(':').ok_or_else(err)?;
-    let (series, kind) = head.rsplit_once(':').ok_or_else(err)?;
-    let mut kind_chars = kind.chars();
-    let kind = match (
-        kind_chars.next().and_then(MetricKind::from_code),
-        kind_chars.next(),
-    ) {
-        (Some(kind), None) => kind,
-        _ => {
-            return Err(ApiError::malformed(format!(
-                "metric sample {s:?} has unknown kind {kind:?} (want c|g|h)"
-            )))
+fn malformed(message: impl Into<String>) -> ApiError {
+    ApiError::malformed(message)
+}
+
+// ---------------------------------------------------------------------------
+// Values
+// ---------------------------------------------------------------------------
+
+/// A value with exactly one wire spelling: `take` reads back what `put`
+/// wrote, bit for bit.
+trait Wire: Sized {
+    fn put(&self, out: &mut String) -> R<()>;
+    fn take(s: &str) -> R<Self>;
+}
+
+/// A value type that travels in lists, and the separator its lists use.
+trait Item: Wire {
+    const SEP: char;
+}
+
+/// Writes `n` in decimal without going through `fmt`, which dominates
+/// the cost of the integer-heavy row lists.
+#[inline]
+fn put_digits(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-    };
-    let (name, labels) = match series.split_once('{') {
-        Some((name, rest)) => {
-            let inner = rest.strip_suffix('}').ok_or_else(err)?;
-            let mut labels = Vec::new();
-            if !inner.is_empty() {
-                for pair in inner.split(',') {
-                    let (k, v) = pair.split_once('=').ok_or_else(err)?;
-                    if !is_wire_safe_name(k) || !is_metric_value_safe(v) {
-                        return Err(err());
-                    }
-                    labels.push((k.to_string(), v.to_string()));
-                }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+macro_rules! numbers {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, out: &mut String) -> R<()> {
+                put_digits(*self as u64, out);
+                Ok(())
             }
-            (name, labels)
+            #[inline]
+            fn take(s: &str) -> R<Self> {
+                s.parse()
+                    .map_err(|_| malformed(format!("{s:?} is not a non-negative integer")))
+            }
         }
-        None => (series, Vec::new()),
-    };
-    if !is_wire_safe_name(name) {
-        return Err(ApiError::malformed(format!(
-            "metric name {name:?} is not wire-safe"
-        )));
+    )*};
+}
+numbers!(u32, u64, usize);
+
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, out: &mut String) -> R<()> {
+        let _ = write!(out, "{self:?}");
+        Ok(())
     }
-    Ok(MetricSample {
-        name: name.to_string(),
-        labels,
-        kind,
-        value: parse_f64(value)?,
-    })
+    #[inline]
+    fn take(s: &str) -> R<Self> {
+        s.parse()
+            .map_err(|_| malformed(format!("{s:?} is not a number")))
+    }
 }
 
-fn parse_metric_samples(s: &str) -> Result<Vec<MetricSample>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
+impl Wire for bool {
+    fn put(&self, out: &mut String) -> R<()> {
+        out.push_str(if *self { "true" } else { "false" });
+        Ok(())
     }
-    s.split(';').map(parse_metric_sample).collect()
+    fn take(s: &str) -> R<Self> {
+        match s {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(malformed(format!("{s:?} is not a boolean (true|false)"))),
+        }
+    }
 }
 
-fn encode_metric_samples(out: &mut String, samples: &[MetricSample]) -> Result<(), ApiError> {
-    for (i, sample) in samples.iter().enumerate() {
-        if !is_wire_safe_name(&sample.name) {
-            return Err(ApiError::malformed(format!(
-                "metric name {:?} is not wire-safe",
-                sample.name
-            )));
+/// Free text, percent-encoded: every byte outside `[A-Za-z0-9_.-]` becomes
+/// `%XX`, so decode ∘ encode is the identity on arbitrary UTF-8.
+impl Wire for String {
+    fn put(&self, out: &mut String) -> R<()> {
+        for b in self.bytes() {
+            let c = b as char;
+            if c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-') {
+                out.push(c);
+            } else {
+                let _ = write!(out, "%{b:02X}");
+            }
         }
+        Ok(())
+    }
+    fn take(s: &str) -> R<Self> {
+        let mut bytes = Vec::with_capacity(s.len());
+        let mut iter = s.bytes();
+        while let Some(b) = iter.next() {
+            if b != b'%' {
+                bytes.push(b);
+                continue;
+            }
+            let escape = [iter.next(), iter.next()];
+            let value = match escape {
+                [Some(hi), Some(lo)] => std::str::from_utf8(&[hi, lo])
+                    .ok()
+                    .and_then(|h| u8::from_str_radix(h, 16).ok()),
+                _ => None,
+            };
+            bytes.push(value.ok_or_else(|| malformed(format!("text {s:?} has a bad %XX escape")))?);
+        }
+        String::from_utf8(bytes)
+            .map_err(|_| malformed(format!("text {s:?} decodes to invalid UTF-8")))
+    }
+}
+
+/// An optional positional part: `-` when absent.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut String) -> R<()> {
+        match self {
+            Some(v) => v.put(out),
+            None => {
+                out.push('-');
+                Ok(())
+            }
+        }
+    }
+    fn take(s: &str) -> R<Self> {
+        if s == "-" {
+            Ok(None)
+        } else {
+            T::take(s).map(Some)
+        }
+    }
+}
+
+#[inline]
+fn put_list<T: Item>(items: &[T], out: &mut String) -> R<()> {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            out.push(';');
+            out.push(T::SEP);
         }
-        out.push_str(&sample.name);
-        if !sample.labels.is_empty() {
-            out.push('{');
-            for (j, (k, v)) in sample.labels.iter().enumerate() {
-                if !is_wire_safe_name(k) {
-                    return Err(ApiError::malformed(format!(
-                        "metric label key {k:?} is not wire-safe"
-                    )));
-                }
-                if !is_metric_value_safe(v) {
-                    return Err(ApiError::malformed(format!(
-                        "metric label value {v:?} is not wire-safe"
-                    )));
-                }
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{k}={v}");
-            }
-            out.push('}');
-        }
-        let _ = write!(out, ":{}:{:?}", sample.kind.code(), sample.value);
+        item.put(out)?;
     }
     Ok(())
 }
 
-/// Percent-encodes free text (planner rationales, trace root names, worker
-/// addresses) into a wire-safe token: every byte outside `[A-Za-z0-9_.-]`
-/// becomes `%XX`, so decode ∘ encode is the identity on arbitrary UTF-8.
-fn encode_text(out: &mut String, text: &str) {
-    for b in text.bytes() {
-        let c = b as char;
-        if c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-') {
-            out.push(c);
-        } else {
-            let _ = write!(out, "%{b:02X}");
+impl<T: Item> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, out: &mut String) -> R<()> {
+        put_list(self, out)
+    }
+    #[inline]
+    fn take(s: &str) -> R<Self> {
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        s.split(T::SEP).map(T::take).collect()
+    }
+}
+
+impl Wire for RelationRef {
+    fn put(&self, out: &mut String) -> R<()> {
+        match self {
+            RelationRef::Id(id) => {
+                out.push('#');
+                id.put(out)
+            }
+            RelationRef::Name(name) => Name::put(name, out),
+        }
+    }
+    fn take(s: &str) -> R<Self> {
+        match s.strip_prefix('#') {
+            Some(id) => usize::take(id).map(RelationRef::Id),
+            None => Name::take(s).map(RelationRef::Name),
         }
     }
 }
 
-fn parse_text(s: &str) -> Result<String, ApiError> {
-    let mut bytes = Vec::with_capacity(s.len());
-    let mut iter = s.bytes();
-    while let Some(b) = iter.next() {
-        if b == b'%' {
-            let (Some(hi), Some(lo)) = (iter.next(), iter.next()) else {
-                return Err(ApiError::malformed(format!(
-                    "text {s:?} has a truncated %XX escape"
-                )));
-            };
-            let hex = [hi, lo];
-            let value = std::str::from_utf8(&hex)
-                .ok()
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-                .ok_or_else(|| ApiError::malformed(format!("text {s:?} has a bad %XX escape")))?;
-            bytes.push(value);
-        } else {
-            bytes.push(b);
-        }
+impl Wire for ErrorKind {
+    fn put(&self, out: &mut String) -> R<()> {
+        out.push_str(self.code());
+        Ok(())
     }
-    String::from_utf8(bytes)
-        .map_err(|_| ApiError::malformed(format!("text {s:?} decodes to invalid UTF-8")))
+    fn take(s: &str) -> R<Self> {
+        ErrorKind::from_code(s).ok_or_else(|| malformed(format!("unknown error kind {s:?}")))
+    }
 }
 
-/// `trajectory`: `depth~kth~bound` points, `,`-joined (floats via the
-/// shortest-round-trip `{:?}` form, so `-inf` survives).
-fn parse_trajectory(s: &str) -> Result<Vec<TrajectorySample>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
+/// Enums spelled as one keyword per variant.
+macro_rules! keywords {
+    ($($ty:ident { $($variant:ident = $word:literal),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) -> R<()> {
+                out.push_str(match self { $($ty::$variant => $word),+ });
+                Ok(())
+            }
+            fn take(s: &str) -> R<Self> {
+                match s {
+                    $($word => Ok($ty::$variant),)+
+                    _ => Err(malformed(format!(
+                        concat!("{:?} is not one of" $(, " ", $word)+), s
+                    ))),
+                }
+            }
+        }
+    )+};
+}
+keywords! {
+    AccessKind { Distance = "distance", Score = "score" }
+    Algorithm { Cbrr = "cbrr", Cbpa = "cbpa", Tbrr = "tbrr", Tbpa = "tbpa" }
+    MetricKind { Counter = "c", Gauge = "g", Histogram = "h" }
+}
+
+// Codecs: how a field is spelled when its type's own `Wire` spelling is
+// not the one wanted. A declaration names the codec after the field
+// (`name: Name`); fields that name none use `Plain`.
+
+/// The value type's own [`Wire`] spelling.
+struct Plain;
+impl Plain {
+    #[inline]
+    fn put<T: Wire>(v: &T, out: &mut String) -> R<()> {
+        v.put(out)
     }
-    s.split(',')
-        .map(|p| {
-            let mut parts = p.split('~');
-            let (Some(depth), Some(kth), Some(bound), None) =
-                (parts.next(), parts.next(), parts.next(), parts.next())
-            else {
-                return Err(ApiError::malformed(format!(
-                    "trajectory point {p:?} is not depth~kth~bound"
-                )));
-            };
-            Ok(TrajectorySample {
-                depth: parse_u64(depth)?,
-                kth_score: parse_f64(kth)?,
-                bound: parse_f64(bound)?,
+    #[inline]
+    fn take<T: Wire>(s: &str) -> R<T> {
+        T::take(s)
+    }
+}
+
+/// Strings written unescaped, each refused unless its check passes.
+macro_rules! checked_strings {
+    ($($codec:ident: $check:ident, $what:literal;)+) => {$(
+        struct $codec;
+        impl $codec {
+            fn put(v: &str, out: &mut String) -> R<()> {
+                out.push_str($codec::checked(v)?);
+                Ok(())
+            }
+            fn take(s: &str) -> R<String> {
+                $codec::checked(s).map(str::to_string)
+            }
+            fn checked(s: &str) -> R<&str> {
+                if $check(s) {
+                    Ok(s)
+                } else {
+                    Err(malformed(format!(concat!("{:?} is not a wire-safe ", $what), s)))
+                }
+            }
+        }
+    )+};
+}
+checked_strings! {
+    Name: is_wire_safe_name, "name ([A-Za-z0-9_.-]+, not starting with #)";
+    Label: is_metric_value_safe, "metric label value";
+}
+
+/// An id where 0 would mean "none" and is refused.
+struct NonZero;
+impl NonZero {
+    fn put(v: &u64, out: &mut String) -> R<()> {
+        NonZero::checked(*v)?.put(out)
+    }
+    fn take(s: &str) -> R<u64> {
+        NonZero::checked(u64::take(s)?)
+    }
+    fn checked(v: u64) -> R<u64> {
+        if v == 0 {
+            Err(malformed("id must be nonzero"))
+        } else {
+            Ok(v)
+        }
+    }
+}
+
+/// A list that must carry at least one element.
+struct NonEmpty;
+impl NonEmpty {
+    fn put<T: Item>(v: &[T], out: &mut String) -> R<()> {
+        put_list(v, out)
+    }
+    fn take<T: Item>(s: &str) -> R<Vec<T>> {
+        let items = Vec::<T>::take(s)?;
+        if items.is_empty() {
+            return Err(malformed("list must be non-empty"));
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! codec {
+    () => {
+        Plain
+    };
+    ($c:ident) => {
+        $c
+    };
+}
+
+macro_rules! count {
+    () => { 0 };
+    ($head:ident $($tail:ident)*) => { 1 + count!($($tail)*) };
+}
+
+/// The parts of one record, split off in order; the last part keeps any
+/// further separators.
+struct Parts<'a> {
+    whole: &'a str,
+    rest: Option<&'a str>,
+    left: usize,
+    sep: char,
+}
+
+impl<'a> Parts<'a> {
+    #[inline]
+    fn new(whole: &'a str, count: usize, sep: char) -> Self {
+        Parts {
+            whole,
+            rest: Some(whole),
+            left: count,
+            sep,
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest?;
+        self.left -= 1;
+        match rest.split_once(self.sep) {
+            Some((head, tail)) if self.left > 0 => {
+                self.rest = Some(tail);
+                Some(head)
+            }
+            _ => {
+                self.rest = None;
+                Some(rest)
+            }
+        }
+    }
+
+    #[inline]
+    fn part(&mut self) -> R<&'a str> {
+        self.next()
+            .ok_or_else(|| malformed(format!("{:?} is missing a part", self.whole)))
+    }
+}
+
+/// A compound value: its parts in order, joined by one separator. The last
+/// part keeps any further separators, and a trailing `[list]` part is
+/// omitted, separator and all, while empty.
+macro_rules! record {
+    ($ty:ident, $sep:literal, {
+        $first:ident $(: $fc:ident)? $(, $f:ident $(: $c:ident)?)* $(, [$o:ident])?
+    }) => {
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, out: &mut String) -> R<()> {
+                let $ty { $first, $($f,)* $($o)? } = self;
+                <codec!($($fc)?)>::put($first, out)?;
+                $( out.push($sep); <codec!($($c)?)>::put($f, out)?; )*
+                $( if !$o.is_empty() { out.push($sep); $o.put(out)?; } )?
+                Ok(())
+            }
+            #[inline]
+            fn take(s: &str) -> R<Self> {
+                let mut parts = Parts::new(s, count!($first $($f)* $($o)?), $sep);
+                Ok($ty {
+                    $first: <codec!($($fc)?)>::take(parts.part()?)?,
+                    $($f: <codec!($($c)?)>::take(parts.part()?)?,)*
+                    $($o: parts.next().map(Wire::take).transpose()?.unwrap_or_default(),)?
+                })
+            }
+        }
+    };
+    ($ty:ty, $sep:literal, ($first:ident $(: $fc:ident)?, $second:ident $(: $sc:ident)?)) => {
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, out: &mut String) -> R<()> {
+                let ($first, $second) = self;
+                <codec!($($fc)?)>::put($first, out)?;
+                out.push($sep);
+                <codec!($($sc)?)>::put($second, out)
+            }
+            #[inline]
+            fn take(s: &str) -> R<Self> {
+                let mut parts = Parts::new(s, 2, $sep);
+                Ok((
+                    <codec!($($fc)?)>::take(parts.part()?)?,
+                    <codec!($($sc)?)>::take(parts.part()?)?,
+                ))
+            }
+        }
+    };
+}
+
+/// An enum whose variants are records introduced by a tag part.
+macro_rules! tagged {
+    ($ty:ident, $sep:literal, {
+        $($tag:literal => $variant:ident { $($f:ident),+ }),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) -> R<()> {
+                match self {
+                    $($ty::$variant { $($f),+ } => {
+                        out.push_str($tag);
+                        $( out.push($sep); $f.put(out)?; )+
+                    })+
+                }
+                Ok(())
+            }
+            fn take(s: &str) -> R<Self> {
+                let (tag, rest) = s
+                    .split_once($sep)
+                    .ok_or_else(|| malformed(format!("{s:?} is missing its tag")))?;
+                Ok(match tag {
+                    $($tag => {
+                        let mut parts = Parts::new(rest, count!($($f)+), $sep);
+                        $ty::$variant { $($f: Wire::take(parts.part()?)?),+ }
+                    })+
+                    _ => return Err(malformed(format!("unknown tag {tag:?} in {s:?}"))),
+                })
+            }
+        }
+    };
+}
+
+record!(TupleData, ':', { coords: NonEmpty, score });
+record!(ResultRow, '@', { score, tuples });
+record!((usize, usize), ':', (relation, index));
+record!(UnitRow, '@', { score, members: NonEmpty });
+record!(UnitMember, ':', { relation, index, score, coords: NonEmpty });
+record!(SpanRecord, ':', { name: Name, id: NonZero, parent, start_micros, duration_micros });
+record!(MetricSample, ':', { name: Name, kind, value, [labels] });
+record!((String, String), '=', (key: Name, value: Label));
+record!(TrajectorySample, '~', { depth, kth_score, bound });
+record!(RelationPlanStat, ':', { name, cardinality, skew, discount });
+record!(UnitPlanReport, ':', { shard, algorithm, dominance_period, rationale });
+record!(UnitProfile, ':', { shard, cache, remote, depths, micros, trajectory });
+record!(TraceSummary, ':', { trace, class, root, duration_micros, spans });
+record!(WorkerHealth, '@', { addr, reachable, idle_connections });
+record!(TraceContext, ':', { trace: NonZero, parent });
+record!(ScoringSelector, ':', { name: Name, [params] });
+tagged!(ChangeEvent, ':', {
+    "e" => Enter { rank, row },
+    "x" => Exit { rank },
+    "m" => RankChange { from, to },
+    "s" => ScoreChange { rank, score },
+});
+
+macro_rules! items {
+    ($($ty:ty => $sep:literal),+ $(,)?) => {
+        $(impl Item for $ty { const SEP: char = $sep; })+
+    };
+}
+items! {
+    f64 => ',', u64 => ',', usize => ',', RelationRef => ',', Vec<u64> => '|',
+    TupleData => ';', ResultRow => ';', (usize, usize) => '+', UnitRow => ';',
+    UnitMember => '+', SpanRecord => ';', MetricSample => ';', (String, String) => ',',
+    TrajectorySample => ',', ChangeEvent => ';', RelationPlanStat => ';',
+    UnitPlanReport => ';', UnitProfile => ';', TraceSummary => ';', WorkerHealth => ';',
+}
+
+/// The error frame: `kind=<code> msg=<rest of line>`.
+const ERR_KIND: &str = "kind=";
+const ERR_MSG: &str = " msg=";
+
+impl Wire for ApiError {
+    fn put(&self, out: &mut String) -> R<()> {
+        out.push_str(ERR_KIND);
+        self.kind.put(out)?;
+        out.push_str(ERR_MSG);
+        // The message runs to the end of the line, so strip newlines.
+        out.extend(self.message.chars().map(|c| match c {
+            '\r' | '\n' => ' ',
+            c => c,
+        }));
+        Ok(())
+    }
+    fn take(s: &str) -> R<Self> {
+        let (kind, message) = s
+            .strip_prefix(ERR_KIND)
+            .and_then(|rest| rest.split_once(ERR_MSG))
+            .ok_or_else(|| malformed(format!("error frame {s:?} is not kind=… msg=…")))?;
+        Ok(ApiError::new(ErrorKind::take(kind)?, message))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
+
+/// At most this many `key=value` fields fit one line; the widest message
+/// (`ok stats`) declares 12.
+const MAX_FIELDS: usize = 16;
+
+/// The `key=value` fields of one line. A key may be read once; a repeated
+/// key, or one its message never reads, makes the line malformed.
+struct FieldSet<'a> {
+    fields: [(&'a str, &'a str); MAX_FIELDS],
+    len: usize,
+    read: u32,
+}
+
+impl<'a> FieldSet<'a> {
+    fn parse(rest: &'a str) -> R<Self> {
+        let mut set = FieldSet {
+            fields: [("", ""); MAX_FIELDS],
+            len: 0,
+            read: 0,
+        };
+        for token in rest.split(' ').filter(|token| !token.is_empty()) {
+            let field = token
+                .split_once('=')
+                .ok_or_else(|| malformed(format!("field {token:?} is not key=value")))?;
+            let slot = set
+                .fields
+                .get_mut(set.len)
+                .ok_or_else(|| malformed("too many fields"))?;
+            *slot = field;
+            set.len += 1;
+        }
+        Ok(set)
+    }
+
+    fn get(&mut self, key: &str) -> R<Option<&'a str>> {
+        let mut found = None;
+        for (i, (k, v)) in self.fields[..self.len].iter().enumerate() {
+            if *k == key {
+                if found.replace(*v).is_some() {
+                    return Err(malformed(format!("{key}= appears twice")));
+                }
+                self.read |= 1 << i;
+            }
+        }
+        Ok(found)
+    }
+
+    fn req(&mut self, key: &str) -> R<&'a str> {
+        self.get(key)?
+            .ok_or_else(|| malformed(format!("missing {key}=")))
+    }
+
+    fn finish(&self) -> R<()> {
+        match (0..self.len).find(|i| self.read & (1 << i) == 0) {
+            Some(i) => Err(malformed(format!("unknown key {}=", self.fields[i].0))),
+            None => Ok(()),
+        }
+    }
+}
+
+fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
+}
+
+/// A struct whose fields travel as `key=value` fields of a message.
+trait Fields: Sized {
+    fn put_fields(&self, out: &mut String) -> R<()>;
+    fn take_fields(f: &mut FieldSet<'_>) -> R<Self>;
+}
+
+// A field is declared as `field: mode "key"`, optionally `as Codec`:
+//   req   — always present;
+//   opt   — an `Option`, present when `Some`;
+//   def   — present unless it equals its type's default;
+//   flat  — a nested `Fields` struct whose fields sit inline;
+//   group — an optional nested `Fields` struct behind a `key=true|false`
+//           flag.
+macro_rules! put_field {
+    (req, $out:ident, $v:ident, [$key:literal] $($c:ident)?) => {
+        $out.push_str(concat!(" ", $key, "="));
+        <codec!($($c)?)>::put($v, $out)?;
+    };
+    (opt, $out:ident, $v:ident, [$key:literal] $($c:ident)?) => {
+        if let Some(v) = $v {
+            put_field!(req, $out, v, [$key] $($c)?);
+        }
+    };
+    (def, $out:ident, $v:ident, [$key:literal] $($c:ident)?) => {
+        if !is_default($v) {
+            put_field!(req, $out, $v, [$key] $($c)?);
+        }
+    };
+    (flat, $out:ident, $v:ident, []) => {
+        $v.put_fields($out)?;
+    };
+    (group, $out:ident, $v:ident, [$key:literal]) => {
+        $out.push_str(concat!(" ", $key, "="));
+        $v.is_some().put($out)?;
+        if let Some(v) = $v {
+            v.put_fields($out)?;
+        }
+    };
+}
+
+macro_rules! take_field {
+    (req, $f:ident, [$key:literal] $($c:ident)?) => {
+        <codec!($($c)?)>::take($f.req($key)?)?
+    };
+    (opt, $f:ident, [$key:literal] $($c:ident)?) => {
+        match $f.get($key)? {
+            Some(s) => Some(<codec!($($c)?)>::take(s)?),
+            None => None,
+        }
+    };
+    (def, $f:ident, [$key:literal] $($c:ident)?) => {
+        match $f.get($key)? {
+            Some(s) => <codec!($($c)?)>::take(s)?,
+            None => Default::default(),
+        }
+    };
+    (flat, $f:ident, []) => {
+        Fields::take_fields($f)?
+    };
+    (group, $f:ident, [$key:literal]) => {
+        if bool::take($f.req($key)?)? {
+            Some(Fields::take_fields($f)?)
+        } else {
+            None
+        }
+    };
+}
+
+/// Structs carried as message fields; `=> check` names a whole-value
+/// check run after decoding.
+macro_rules! fields {
+    ($($ty:ident {
+        $($f:ident : $mode:ident $($key:literal)? $(as $c:ident)?),+ $(,)?
+    } $(=> $check:ident)?)+) => {$(
+        impl Fields for $ty {
+            fn put_fields(&self, out: &mut String) -> R<()> {
+                let $ty { $($f),+ } = self;
+                $( put_field!($mode, out, $f, [$($key)?] $($c)?); )+
+                Ok(())
+            }
+            fn take_fields(f: &mut FieldSet<'_>) -> R<Self> {
+                let value = $ty { $($f: take_field!($mode, f, [$($key)?] $($c)?)),+ };
+                $( $check(&value)?; )?
+                Ok(value)
+            }
+        }
+    )+};
+}
+
+fields! {
+    QueryRequest {
+        relations: req "rels" as NonEmpty,
+        query: req "q",
+        k: opt "k",
+        scoring: opt "scoring",
+        access: opt "access",
+        algorithm: opt "algo",
+        trace: opt "trace",
+    }
+    UnitRequest {
+        relations: req "rels" as NonEmpty,
+        epochs: req "epochs",
+        drive: req "drive",
+        shard: req "shard",
+        query: req "q",
+        k: req "k",
+        scoring: req "scoring",
+        access: req "access",
+        algorithm: req "algo",
+        dominance_period: opt "period",
+        convergence: def "conv",
+        trace: opt "trace",
+    } => unit_is_consistent
+    StatsReport {
+        queries: req "queries",
+        cache_hits: req "cache_hits",
+        executed: req "executed",
+        relations: req "relations",
+        cache_entries: req "cache_entries",
+        cache_invalidations: req "invalidations",
+        total_sum_depths: req "sum_depths",
+        shards: req "shards",
+        shard_depths: def "shard_depths",
+        shard_micros: def "shard_micros",
+        worker_shard_depths: def "worker_shard_depths",
+        worker_shard_micros: def "worker_shard_micros",
+    }
+    UnitOutcome {
+        final_bound: req "bound",
+        bound_updates: req "updates",
+        combinations_formed: req "formed",
+        micros: req "micros",
+        capped: req "capped",
+        depths: req "depths",
+        spans: def "spans",
+        trajectory: def "traj",
+        rows: req "rows",
+    }
+    MetricsReport {
+        samples: req "samples",
+    }
+    Notification {
+        id: req "id",
+        seq: req "seq",
+        total: req "n",
+        events: def "events",
+        fin: opt "fin" as Name,
+    }
+    ExplainReport {
+        algorithm: req "algo",
+        drive: req "drive",
+        k: req "k",
+        rationale: req "rationale",
+        relations: req "stats",
+        units: req "uplans",
+        analyzed: group "analyzed",
+    }
+    AnalyzeReport {
+        latency_micros: req "micros",
+        total_sum_depths: req "depths",
+        units: req "prof",
+        rows: req "rows",
+    }
+    HealthReport {
+        ready: req "ready",
+        live: req "live",
+        role: req "role",
+        replication_lag_micros: req "repl_us",
+        delta_tuples: req "delta",
+        oldest_delta_age_ms: req "delta_age_ms",
+        sub_queue_depth: req "sub_depth",
+        subscriptions: req "subs",
+        traces_retained: req "traces",
+        workers: def "workers",
+    }
+}
+
+/// A unit names one epoch vector per relation and drives one of them.
+fn unit_is_consistent(unit: &UnitRequest) -> R<()> {
+    let n = unit.relations.len();
+    if unit.epochs.len() != n {
+        return Err(malformed(format!(
+            "unit: {n} relations but {} epoch vectors",
+            unit.epochs.len()
+        )));
+    }
+    if unit.drive >= n {
+        return Err(malformed(format!(
+            "unit: drive={} is out of range for {n} relations",
+            unit.drive
+        )));
+    }
+    Ok(())
+}
+
+/// A message family: each variant's verb and fields. Generates
+/// `$put(message, out)` and `$take(verb, rest)`. A variant is declared as
+/// one of
+///
+/// * `"verb" => Variant` — no fields;
+/// * `"verb" => Variant { field: mode "key", … }` — inline fields;
+/// * `"verb" => Variant(Struct)` — the fields of one [`Fields`] struct;
+/// * `"verb" => Variant("key")` — one required field;
+/// * `"verb" => Variant(line Type)` — the rest of the line is one
+///   [`Wire`] value.
+macro_rules! messages {
+    ($ty:ident: $put:ident, $take:ident; $($table:tt)*) => {
+        messages!(@munch $ty, $put, $take, [message out rest f v], [], []; $($table)*);
+    };
+    (@munch $ty:ident, $put:ident, $take:ident, [$m:ident $out:ident $rest:ident $f:ident $v:ident],
+        [$($pa:tt)*], [$($ta:tt)*];) => {
+        fn $put($m: &$ty, $out: &mut String) -> R<()> {
+            match $m { $($pa)* }
+            Ok(())
+        }
+        fn $take(verb: &str, $rest: &str) -> R<$ty> {
+            Ok(match verb {
+                $($ta)*
+                "" => return Err(malformed("empty message")),
+                other => return Err(malformed(format!("unknown verb {other:?}"))),
             })
-        })
-        .collect()
-}
-
-fn encode_trajectory(out: &mut String, trajectory: &[TrajectorySample]) {
-    for (i, p) in trajectory.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
         }
-        let _ = write!(out, "{}~{:?}~{:?}", p.depth, p.kth_score, p.bound);
-    }
+    };
+    (@munch $ty:ident, $put:ident, $take:ident, [$m:ident $out:ident $rest:ident $f:ident $v:ident],
+        [$($pa:tt)*], [$($ta:tt)*]; $verb:literal => $variant:ident (line $inner:ident), $($tail:tt)*) => {
+        messages!(@munch $ty, $put, $take, [$m $out $rest $f $v],
+            [$($pa)* $ty::$variant($v) => {
+                $out.push_str(concat!(" ", $verb, " "));
+                $v.put($out)?;
+            }],
+            [$($ta)* $verb => $ty::$variant(<$inner as Wire>::take($rest)?),];
+            $($tail)*);
+    };
+    (@munch $ty:ident, $put:ident, $take:ident, [$m:ident $out:ident $rest:ident $f:ident $v:ident],
+        [$($pa:tt)*], [$($ta:tt)*]; $verb:literal => $variant:ident ($inner:ident), $($tail:tt)*) => {
+        messages!(@munch $ty, $put, $take, [$m $out $rest $f $v],
+            [$($pa)* $ty::$variant($v) => {
+                $out.push_str(concat!(" ", $verb));
+                $v.put_fields($out)?;
+            }],
+            [$($ta)* $verb => {
+                let $f = &mut FieldSet::parse($rest)?;
+                let message = $ty::$variant(<$inner as Fields>::take_fields($f)?);
+                $f.finish()?;
+                message
+            }];
+            $($tail)*);
+    };
+    (@munch $ty:ident, $put:ident, $take:ident, [$m:ident $out:ident $rest:ident $f:ident $v:ident],
+        [$($pa:tt)*], [$($ta:tt)*]; $verb:literal => $variant:ident ($key:literal), $($tail:tt)*) => {
+        messages!(@munch $ty, $put, $take, [$m $out $rest $f $v],
+            [$($pa)* $ty::$variant($v) => {
+                $out.push_str(concat!(" ", $verb));
+                put_field!(req, $out, $v, [$key]);
+            }],
+            [$($ta)* $verb => {
+                let $f = &mut FieldSet::parse($rest)?;
+                let message = $ty::$variant(take_field!(req, $f, [$key]));
+                $f.finish()?;
+                message
+            }];
+            $($tail)*);
+    };
+    (@munch $ty:ident, $put:ident, $take:ident, [$m:ident $out:ident $rest:ident $f:ident $v:ident],
+        [$($pa:tt)*], [$($ta:tt)*]; $verb:literal => $variant:ident {
+            $($field:ident : $mode:ident $($key:literal)? $(as $c:ident)?),+ $(,)?
+        }, $($tail:tt)*) => {
+        messages!(@munch $ty, $put, $take, [$m $out $rest $f $v],
+            [$($pa)* $ty::$variant { $($field),+ } => {
+                $out.push_str(concat!(" ", $verb));
+                $( put_field!($mode, $out, $field, [$($key)?] $($c)?); )+
+            }],
+            [$($ta)* $verb => {
+                let $f = &mut FieldSet::parse($rest)?;
+                let message = $ty::$variant {
+                    $($field: take_field!($mode, $f, [$($key)?] $($c)?)),+
+                };
+                $f.finish()?;
+                message
+            }];
+            $($tail)*);
+    };
+    (@munch $ty:ident, $put:ident, $take:ident, [$m:ident $out:ident $rest:ident $f:ident $v:ident],
+        [$($pa:tt)*], [$($ta:tt)*]; $verb:literal => $variant:ident, $($tail:tt)*) => {
+        messages!(@munch $ty, $put, $take, [$m $out $rest $f $v],
+            [$($pa)* $ty::$variant => $out.push_str(concat!(" ", $verb)),],
+            [$($ta)* $verb => {
+                FieldSet::parse($rest)?.finish()?;
+                $ty::$variant
+            }];
+            $($tail)*);
+    };
 }
 
-fn parse_query(fields: &[(&str, &str)], verb: &str) -> Result<QueryRequest, ApiError> {
-    let rels = require(fields, "rels", verb)?;
-    if rels.is_empty() {
-        return Err(ApiError::malformed(format!(
-            "{verb}: rels= must be non-empty"
-        )));
-    }
-    let relations = rels
-        .split(',')
-        .map(parse_relation_ref)
-        .collect::<Result<Vec<_>, _>>()?;
-    let query = parse_f64_list(require(fields, "q", verb)?)?;
-    let k = field(fields, "k").map(parse_usize).transpose()?;
-    let scoring = field(fields, "scoring").map(parse_scoring).transpose()?;
-    let access = field(fields, "access").map(parse_access).transpose()?;
-    let algorithm = field(fields, "algo").map(parse_algorithm).transpose()?;
-    let trace = field(fields, "trace").map(parse_trace).transpose()?;
-    Ok(QueryRequest {
-        relations,
-        query,
-        k,
-        scoring,
-        access,
-        algorithm,
-        trace,
-    })
+messages! { Request: put_request, take_request;
+    "register" => RegisterRelation { name: req "name" as Name, tuples: req "tuples" },
+    "append" => AppendTuples { relation: req "rel", tuples: req "tuples" },
+    "drop" => DropRelation { relation: req "rel" },
+    "topk" => TopK(QueryRequest),
+    "stream" => Stream(QueryRequest),
+    "stats" => Stats,
+    "hello" => Hello { max_version: req "max" },
+    "unit" => ExecuteUnit(UnitRequest),
+    "assign" => ShardAssignment { generation: req "gen", shards: req "shards" },
+    "wstats" => WorkerStats,
+    "metrics" => Metrics,
+    "subscribe" => Subscribe(QueryRequest),
+    "unsubscribe" => Unsubscribe { id: req "id" },
+    "explain" => Explain { analyze: req "analyze", query: flat },
+    "ftrace" => FetchTrace { trace: req "id" as NonZero },
+    "traces" => ListTraces,
+    "health" => Health,
 }
 
-fn encode_query(out: &mut String, q: &QueryRequest) -> Result<(), ApiError> {
-    out.push_str(" rels=");
-    for (i, r) in q.relations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&encode_relation_ref(r)?);
-    }
-    out.push_str(" q=");
-    encode_f64_list(out, &q.query);
-    if let Some(k) = q.k {
-        let _ = write!(out, " k={k}");
-    }
-    if let Some(scoring) = &q.scoring {
-        let _ = write!(out, " scoring={}", encode_scoring(scoring)?);
-    }
-    if let Some(access) = q.access {
-        let _ = write!(out, " access={}", encode_access(access));
-    }
-    if let Some(algo) = q.algorithm {
-        let _ = write!(out, " algo={}", algo.id().to_ascii_lowercase());
-    }
-    if let Some(trace) = q.trace {
-        encode_trace(out, trace);
-    }
-    Ok(())
+messages! { Response: put_response, take_response;
+    "ok registered" => Registered {
+        id: req "id",
+        name: req "name" as Name,
+        epoch: req "epoch",
+        cardinality: req "n",
+    },
+    "ok appended" => Appended { id: req "id", epoch: req "epoch", cardinality: req "n" },
+    "ok dropped" => Dropped { id: req "id", epoch: req "epoch" },
+    "ok results" => Results { from_cache: req "cached", algorithm: req "algo", rows: req "rows" },
+    "ok item" => StreamItem("row"),
+    "ok end" => StreamEnd { count: req "n" },
+    "ok stats" => Stats(StatsReport),
+    "ok hello" => HelloAck { version: req "ver" },
+    "ok unit" => Unit(UnitOutcome),
+    "ok assigned" => AssignmentAck { generation: req "gen", shards: req "shards" },
+    "ok worker" => WorkerReport {
+        generation: req "gen",
+        shards: req "shards",
+        units: req "units",
+        depths: req "depths",
+        relations: req "relations",
+        lane_units: def "lane_units",
+        lane_depths: def "lane_depths",
+        lane_micros: def "lane_micros",
+    },
+    "ok metrics" => Metrics(MetricsReport),
+    "ok subscribed" => Subscribed { id: req "id", algorithm: req "algo", rows: req "rows" },
+    "ok unsubscribed" => Unsubscribed { id: req "id" },
+    "ok notify" => Notify(Notification),
+    "ok explain" => Explain(ExplainReport),
+    "ok trace" => Trace { trace: req "id", class: req "class", spans: req "spans" },
+    "ok traces" => Traces { traces: req "list" },
+    "ok health" => Health(HealthReport),
+    "err" => Error(line ApiError),
 }
 
-/// `umember`: `rel:idx:score:coords` (coords comma-separated; exactly
-/// three `:`-separated heads, so `splitn(4, ':')`).
-fn parse_unit_member(s: &str) -> Result<UnitMember, ApiError> {
-    let mut parts = s.splitn(4, ':');
-    let (Some(rel), Some(idx), Some(score), Some(coords)) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(ApiError::malformed(format!(
-            "unit member {s:?} is not rel:idx:score:coords"
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
+
+/// Splits off the `prj/2` prefix. Any other `prj/N` prefix is a typed
+/// [`ErrorKind::Version`] error; a line that is not `prj/…` at all is
+/// malformed.
+fn strip_version(line: &str) -> R<&str> {
+    let line = line.trim_end_matches(['\r', '\n']);
+    let (head, rest) = line.split_once(' ').unwrap_or((line, ""));
+    let rest = rest.trim_start_matches(' ');
+    let Some(version) = head.strip_prefix("prj/") else {
+        return Err(malformed(format!(
+            "expected a {PREFIX} message, got {head:?}"
         )));
     };
-    let coords = parse_f64_list(coords)?;
-    if coords.is_empty() {
-        return Err(ApiError::malformed(format!(
-            "unit member {s:?} has no coordinates"
-        )));
-    }
-    Ok(UnitMember {
-        relation: parse_usize(rel)?,
-        index: parse_usize(idx)?,
-        score: parse_f64(score)?,
-        coords,
-    })
-}
-
-fn encode_unit_member(out: &mut String, m: &UnitMember) {
-    let _ = write!(out, "{}:{}:{:?}:", m.relation, m.index, m.score);
-    encode_f64_list(out, &m.coords);
-}
-
-fn parse_unit_row(s: &str) -> Result<UnitRow, ApiError> {
-    let (score, members) = s
-        .split_once('@')
-        .ok_or_else(|| ApiError::malformed(format!("unit row {s:?} is missing its score@")))?;
-    if members.is_empty() {
-        return Err(ApiError::malformed(format!(
-            "unit row {s:?} has no members"
-        )));
-    }
-    Ok(UnitRow {
-        score: parse_f64(score)?,
-        members: members
-            .split('+')
-            .map(parse_unit_member)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn parse_unit_rows(s: &str) -> Result<Vec<UnitRow>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(';').map(parse_unit_row).collect()
-}
-
-fn encode_unit_rows(out: &mut String, rows: &[UnitRow]) {
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        let _ = write!(out, "{:?}@", row.score);
-        for (j, member) in row.members.iter().enumerate() {
-            if j > 0 {
-                out.push('+');
-            }
-            encode_unit_member(out, member);
-        }
-    }
-}
-
-/// Rejects encoding a message at a version that cannot carry it.
-fn check_encodable(version: u32, needed: u32) -> Result<(), ApiError> {
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != "2" {
         return Err(ApiError::new(
             ErrorKind::Version,
-            format!("cannot encode at unsupported version prj/{version}"),
+            format!("peer speaks prj/{version}, this build speaks only {PREFIX}"),
         ));
     }
-    if version < needed {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("message requires prj/{needed}, cannot encode at prj/{version}"),
-        ));
-    }
-    Ok(())
+    Ok(rest)
 }
 
-/// Encodes a request as one wire line (no trailing newline), at the lowest
-/// version able to carry it — pre-existing kinds stay `prj/1` lines, so
-/// they keep working against pre-cluster servers.
+/// Splits a message into its verb and fields. A response verb is `err` or
+/// `ok <form>`.
+fn split_verb(rest: &str) -> (&str, &str) {
+    let skip = if rest.starts_with("ok ") { 3 } else { 0 };
+    match rest[skip..].find(' ') {
+        Some(i) => (&rest[..skip + i], &rest[skip + i + 1..]),
+        None => (rest, ""),
+    }
+}
+
+/// Encodes a request as one `prj/2` line (no trailing newline).
 ///
 /// # Errors
 /// Fails with [`ErrorKind::Malformed`] when a name is not wire-safe.
 pub fn encode_request(request: &Request) -> Result<String, ApiError> {
-    encode_request_at(request, request_version(request))
+    encode_request_at(request, PROTOCOL_VERSION)
 }
 
-/// Encodes a request at an explicit (e.g. negotiated) protocol version.
+/// Encodes a request at an explicit protocol version, which must be
+/// [`PROTOCOL_VERSION`].
 ///
 /// # Errors
-/// [`ErrorKind::Version`] when `version` cannot carry the request kind,
-/// [`ErrorKind::Malformed`] when a name is not wire-safe.
+/// [`ErrorKind::Version`] for any other version, [`ErrorKind::Malformed`]
+/// when a name is not wire-safe.
 pub fn encode_request_at(request: &Request, version: u32) -> Result<String, ApiError> {
-    check_encodable(version, request_version(request))?;
-    let mut out = version_prefix(version);
-    match request {
-        Request::RegisterRelation { name, tuples } => {
-            if !is_wire_safe_name(name) {
-                return Err(ApiError::malformed(format!(
-                    "relation name {name:?} is not wire-safe ([A-Za-z0-9_.-]+)"
-                )));
-            }
-            let _ = write!(
-                out,
-                " register name={name} tuples={}",
-                encode_tuples(tuples)
-            );
-        }
-        Request::AppendTuples { relation, tuples } => {
-            let _ = write!(
-                out,
-                " append rel={} tuples={}",
-                encode_relation_ref(relation)?,
-                encode_tuples(tuples)
-            );
-        }
-        Request::DropRelation { relation } => {
-            let _ = write!(out, " drop rel={}", encode_relation_ref(relation)?);
-        }
-        Request::TopK(q) => {
-            out.push_str(" topk");
-            encode_query(&mut out, q)?;
-        }
-        Request::Stream(q) => {
-            out.push_str(" stream");
-            encode_query(&mut out, q)?;
-        }
-        Request::Stats => out.push_str(" stats"),
-        Request::Hello { max_version } => {
-            let _ = write!(out, " hello max={max_version}");
-        }
-        Request::ExecuteUnit(unit) => {
-            out.push_str(" unit rels=");
-            for (i, r) in unit.relations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&encode_relation_ref(r)?);
-            }
-            out.push_str(" epochs=");
-            encode_epochs(&mut out, &unit.epochs);
-            let _ = write!(out, " drive={} shard={} q=", unit.drive, unit.shard);
-            encode_f64_list(&mut out, &unit.query);
-            let _ = write!(
-                out,
-                " k={} scoring={} access={} algo={}",
-                unit.k,
-                encode_scoring(&unit.scoring)?,
-                encode_access(unit.access),
-                unit.algorithm.id().to_ascii_lowercase(),
-            );
-            if let Some(period) = unit.dominance_period {
-                let _ = write!(out, " period={period}");
-            }
-            if unit.convergence != 0 {
-                let _ = write!(out, " conv={}", unit.convergence);
-            }
-            if let Some(trace) = unit.trace {
-                encode_trace(&mut out, trace);
-            }
-        }
-        Request::ShardAssignment { generation, shards } => {
-            let _ = write!(out, " assign gen={generation} shards=");
-            encode_usize_list(&mut out, shards);
-        }
-        Request::WorkerStats => out.push_str(" wstats"),
-        Request::Metrics => out.push_str(" metrics"),
-        Request::Subscribe(q) => {
-            out.push_str(" subscribe");
-            encode_query(&mut out, q)?;
-        }
-        Request::Unsubscribe { id } => {
-            let _ = write!(out, " unsubscribe id={id}");
-        }
-        Request::Explain { query, analyze } => {
-            let _ = write!(out, " explain analyze={}", u8::from(*analyze));
-            encode_query(&mut out, query)?;
-        }
-        Request::FetchTrace { trace } => {
-            let _ = write!(out, " ftrace id={trace}");
-        }
-        Request::ListTraces => out.push_str(" traces"),
-        Request::Health => out.push_str(" health"),
+    if version != PROTOCOL_VERSION {
+        return Err(ApiError::new(
+            ErrorKind::Version,
+            format!("cannot encode at prj/{version}, this build speaks only {PREFIX}"),
+        ));
     }
+    let mut out = String::from(PREFIX);
+    put_request(request, &mut out)?;
     Ok(out)
 }
 
-/// Decodes one request line; see [`decode_request_versioned`] when the
-/// caller also needs the version the line arrived in.
+/// Decodes one request line.
 ///
 /// # Errors
-/// [`ErrorKind::Version`] on a version mismatch, [`ErrorKind::Malformed`]
-/// on anything unparseable.
+/// [`ErrorKind::Version`] on any prefix other than `prj/2`,
+/// [`ErrorKind::Malformed`] on anything unparseable.
 pub fn decode_request(line: &str) -> Result<Request, ApiError> {
     decode_request_versioned(line).map(|(_, request)| request)
 }
 
 /// Decodes one request line, returning the protocol version it arrived in
-/// — which is the version the response should be encoded at.
+/// (always [`PROTOCOL_VERSION`]) with the request.
 ///
 /// # Errors
-/// [`ErrorKind::Version`] on an unsupported version *or* a cluster-internal
-/// verb on a `prj/1` line, [`ErrorKind::Malformed`] on anything
-/// unparseable.
+/// As [`decode_request`].
 pub fn decode_request_versioned(line: &str) -> Result<(u32, Request), ApiError> {
-    let (version, rest) = strip_version(line)?;
-    let (verb, rest) = rest
-        .split_once(' ')
-        .map(|(v, r)| (v, r.trim_start()))
-        .unwrap_or((rest, ""));
-    // prj/2-only verbs on a prj/1 line are a *typed* version error (the
-    // peer may understand the answer and upgrade), never a dropped
-    // connection.
-    if version < 2
-        && matches!(
-            verb,
-            "unit"
-                | "assign"
-                | "wstats"
-                | "metrics"
-                | "subscribe"
-                | "unsubscribe"
-                | "explain"
-                | "ftrace"
-                | "traces"
-                | "health"
-        )
-    {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("the {verb:?} verb requires prj/2"),
-        ));
-    }
-    let fields = parse_fields(rest)?;
-    // Same treatment for the prj/2 trace-context field riding a legacy
-    // verb: reject typed rather than silently dropping the context.
-    if version < 2 && matches!(verb, "topk" | "stream") && field(&fields, "trace").is_some() {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("the trace= field on {verb:?} requires prj/2"),
-        ));
-    }
-    let request = decode_request_body(verb, &fields)?;
-    Ok((version, request))
+    let (verb, rest) = split_verb(strip_version(line)?);
+    Ok((PROTOCOL_VERSION, take_request(verb, rest)?))
 }
 
-fn decode_request_body(verb: &str, fields: &[(&str, &str)]) -> Result<Request, ApiError> {
-    match verb {
-        "register" => {
-            let name = require(fields, "name", verb)?;
-            if !is_wire_safe_name(name) {
-                return Err(ApiError::malformed(format!(
-                    "relation name {name:?} is not wire-safe"
-                )));
-            }
-            Ok(Request::RegisterRelation {
-                name: name.to_string(),
-                tuples: parse_tuples(field(fields, "tuples").unwrap_or(""))?,
-            })
-        }
-        "append" => Ok(Request::AppendTuples {
-            relation: parse_relation_ref(require(fields, "rel", verb)?)?,
-            tuples: parse_tuples(field(fields, "tuples").unwrap_or(""))?,
-        }),
-        "drop" => Ok(Request::DropRelation {
-            relation: parse_relation_ref(require(fields, "rel", verb)?)?,
-        }),
-        "topk" => Ok(Request::TopK(parse_query(fields, verb)?)),
-        "stream" => Ok(Request::Stream(parse_query(fields, verb)?)),
-        "stats" => Ok(Request::Stats),
-        "hello" => Ok(Request::Hello {
-            max_version: require(fields, "max", verb)?
-                .parse()
-                .map_err(|_| ApiError::malformed("hello max= is not a version number"))?,
-        }),
-        "unit" => {
-            let rels = require(fields, "rels", verb)?;
-            if rels.is_empty() {
-                return Err(ApiError::malformed("unit: rels= must be non-empty"));
-            }
-            let relations = rels
-                .split(',')
-                .map(parse_relation_ref)
-                .collect::<Result<Vec<_>, _>>()?;
-            let epochs = parse_epochs(require(fields, "epochs", verb)?)?;
-            if epochs.len() != relations.len() {
-                return Err(ApiError::malformed(format!(
-                    "unit: {} relations but {} epoch vectors",
-                    relations.len(),
-                    epochs.len()
-                )));
-            }
-            let drive = parse_usize(require(fields, "drive", verb)?)?;
-            if drive >= relations.len() {
-                return Err(ApiError::malformed(format!(
-                    "unit: drive={drive} is out of range for {} relations",
-                    relations.len()
-                )));
-            }
-            Ok(Request::ExecuteUnit(UnitRequest {
-                relations,
-                epochs,
-                drive,
-                shard: parse_usize(require(fields, "shard", verb)?)?,
-                query: parse_f64_list(require(fields, "q", verb)?)?,
-                k: parse_usize(require(fields, "k", verb)?)?,
-                scoring: parse_scoring(require(fields, "scoring", verb)?)?,
-                access: parse_access(require(fields, "access", verb)?)?,
-                algorithm: parse_algorithm(require(fields, "algo", verb)?)?,
-                dominance_period: field(fields, "period").map(parse_usize).transpose()?,
-                convergence: field(fields, "conv")
-                    .map(parse_usize)
-                    .transpose()?
-                    .unwrap_or(0),
-                trace: field(fields, "trace").map(parse_trace).transpose()?,
-            }))
-        }
-        "assign" => Ok(Request::ShardAssignment {
-            generation: parse_u64(require(fields, "gen", verb)?)?,
-            shards: parse_usize_list(field(fields, "shards").unwrap_or(""))?,
-        }),
-        "wstats" => Ok(Request::WorkerStats),
-        "metrics" => Ok(Request::Metrics),
-        "subscribe" => Ok(Request::Subscribe(parse_query(fields, verb)?)),
-        "unsubscribe" => Ok(Request::Unsubscribe {
-            id: parse_u64(require(fields, "id", verb)?)?,
-        }),
-        "explain" => Ok(Request::Explain {
-            query: parse_query(fields, verb)?,
-            analyze: require(fields, "analyze", verb)? == "1",
-        }),
-        "ftrace" => {
-            let trace = parse_u64(require(fields, "id", verb)?)?;
-            if trace == 0 {
-                return Err(ApiError::malformed("ftrace id must be nonzero"));
-            }
-            Ok(Request::FetchTrace { trace })
-        }
-        "traces" => Ok(Request::ListTraces),
-        "health" => Ok(Request::Health),
-        "" => Err(ApiError::malformed("empty request line")),
-        other => Err(ApiError::malformed(format!("unknown verb {other:?}"))),
-    }
-}
-
-fn encode_row(out: &mut String, row: &ResultRow) {
-    let _ = write!(out, "{:?}@", row.score);
-    for (i, (rel, idx)) in row.tuples.iter().enumerate() {
-        if i > 0 {
-            out.push('+');
-        }
-        let _ = write!(out, "{rel}:{idx}");
-    }
-}
-
-fn parse_row(s: &str) -> Result<ResultRow, ApiError> {
-    let (score, members) = s
-        .split_once('@')
-        .ok_or_else(|| ApiError::malformed(format!("row {s:?} is missing its score@ prefix")))?;
-    let tuples = if members.is_empty() {
-        Vec::new()
-    } else {
-        members
-            .split('+')
-            .map(|m| {
-                let (rel, idx) = m.split_once(':').ok_or_else(|| {
-                    ApiError::malformed(format!("row member {m:?} is not rel:idx"))
-                })?;
-                Ok((parse_usize(rel)?, parse_usize(idx)?))
-            })
-            .collect::<Result<Vec<_>, ApiError>>()?
-    };
-    Ok(ResultRow {
-        score: parse_f64(score)?,
-        tuples,
-    })
-}
-
-fn parse_rows(s: &str) -> Result<Vec<ResultRow>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(';').map(parse_row).collect()
-}
-
-fn encode_events(out: &mut String, events: &[ChangeEvent]) {
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        match event {
-            ChangeEvent::Enter { rank, row } => {
-                let _ = write!(out, "e:{rank}:");
-                encode_row(out, row);
-            }
-            ChangeEvent::Exit { rank } => {
-                let _ = write!(out, "x:{rank}");
-            }
-            ChangeEvent::RankChange { from, to } => {
-                let _ = write!(out, "m:{from}:{to}");
-            }
-            ChangeEvent::ScoreChange { rank, score } => {
-                let _ = write!(out, "s:{rank}:{score:?}");
-            }
-        }
-    }
-}
-
-fn parse_event(s: &str) -> Result<ChangeEvent, ApiError> {
-    let mut parts = s.splitn(3, ':');
-    let tag = parts.next().unwrap_or("");
-    fn arg<'a>(p: Option<&'a str>, s: &str) -> Result<&'a str, ApiError> {
-        p.ok_or_else(|| ApiError::malformed(format!("event {s:?} is missing a field")))
-    }
-    let event = match tag {
-        "e" => ChangeEvent::Enter {
-            rank: parse_usize(arg(parts.next(), s)?)?,
-            row: parse_row(arg(parts.next(), s)?)?,
-        },
-        "x" => ChangeEvent::Exit {
-            rank: parse_usize(arg(parts.next(), s)?)?,
-        },
-        "m" => ChangeEvent::RankChange {
-            from: parse_usize(arg(parts.next(), s)?)?,
-            to: parse_usize(arg(parts.next(), s)?)?,
-        },
-        "s" => ChangeEvent::ScoreChange {
-            rank: parse_usize(arg(parts.next(), s)?)?,
-            score: parse_f64(arg(parts.next(), s)?)?,
-        },
-        other => {
-            return Err(ApiError::malformed(format!(
-                "unknown event tag {other:?} in {s:?}"
-            )))
-        }
-    };
-    // The x/m tags consume fewer than 3 segments; reject trailing garbage
-    // (`x` splits at most once more, so a leftover means a malformed line).
-    if !matches!(event, ChangeEvent::Enter { .. }) && parts.next().is_some() {
-        return Err(ApiError::malformed(format!(
-            "event {s:?} has trailing fields"
-        )));
-    }
-    Ok(event)
-}
-
-fn parse_events(s: &str) -> Result<Vec<ChangeEvent>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(';').map(parse_event).collect()
-}
-
-/// Encodes a response as one wire line (no trailing newline), at the
-/// lowest version able to carry it.
+/// Encodes a response as one `prj/2` line (no trailing newline).
 pub fn encode_response(response: &Response) -> String {
-    encode_response_at(response, response_version(response))
+    encode_response_at(response, PROTOCOL_VERSION)
 }
 
-/// Encodes a response at the version the request arrived in, so every peer
-/// reads answers in its own dialect. A `version` unable to carry the
-/// response (a cluster-internal form at `prj/1` — only reachable through a
-/// server bug, since those forms only answer `prj/2` requests) is encoded
-/// as a typed internal error instead. Error kinds outside the `prj/1`
-/// vocabulary are downgraded to `internal` with the original code kept in
-/// the message.
+/// Encodes a response to a request that arrived at `version`, which
+/// decoding has already pinned to [`PROTOCOL_VERSION`]. A response that
+/// cannot be encoded (a name that is not wire-safe) is answered with the
+/// typed error instead.
 pub fn encode_response_at(response: &Response, version: u32) -> String {
-    let version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-    if version < response_version(response) {
-        return encode_response_at(
-            &Response::Error(ApiError::new(
-                ErrorKind::Internal,
-                format!(
-                    "response form requires prj/{}, peer speaks prj/{version}",
-                    response_version(response)
-                ),
-            )),
-            version,
-        );
-    }
-    if version < PROTOCOL_VERSION {
-        if let Response::Error(e) = response {
-            if !e.kind.known_to_v1() {
-                return encode_response_at(
-                    &Response::Error(ApiError::new(
-                        ErrorKind::Internal,
-                        format!("[{}] {}", e.kind.code(), e.message),
-                    )),
-                    version,
-                );
-            }
-        }
-    }
-    let mut out = version_prefix(version);
-    match response {
-        Response::Registered {
-            id,
-            name,
-            epoch,
-            cardinality,
-        } => {
-            let _ = write!(
-                out,
-                " ok registered id={id} name={name} epoch={epoch} n={cardinality}"
-            );
-        }
-        Response::Appended {
-            id,
-            epoch,
-            cardinality,
-        } => {
-            let _ = write!(out, " ok appended id={id} epoch={epoch} n={cardinality}");
-        }
-        Response::Dropped { id, epoch } => {
-            let _ = write!(out, " ok dropped id={id} epoch={epoch}");
-        }
-        Response::Results {
-            rows,
-            from_cache,
-            algorithm,
-        } => {
-            let _ = write!(
-                out,
-                " ok results cached={from_cache} algo={algorithm} rows="
-            );
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                encode_row(&mut out, row);
-            }
-        }
-        Response::StreamItem(row) => {
-            out.push_str(" ok item row=");
-            encode_row(&mut out, row);
-        }
-        Response::StreamEnd { count } => {
-            let _ = write!(out, " ok end n={count}");
-        }
-        Response::Stats(s) => {
-            let _ = write!(
-                out,
-                " ok stats queries={} cache_hits={} executed={} relations={} \
-                 cache_entries={} invalidations={} sum_depths={} shards={}",
-                s.queries,
-                s.cache_hits,
-                s.executed,
-                s.relations,
-                s.cache_entries,
-                s.cache_invalidations,
-                s.total_sum_depths,
-                s.shards.max(1),
-            );
-            // Per-shard breakdowns are omitted while empty (nothing has
-            // executed yet) so the common line stays short.
-            if !s.shard_depths.is_empty() {
-                out.push_str(" shard_depths=");
-                encode_u64_list(&mut out, &s.shard_depths);
-            }
-            if !s.shard_micros.is_empty() {
-                out.push_str(" shard_micros=");
-                encode_u64_list(&mut out, &s.shard_micros);
-            }
-            if !s.worker_shard_depths.is_empty() {
-                out.push_str(" worker_shard_depths=");
-                encode_u64_list(&mut out, &s.worker_shard_depths);
-            }
-            if !s.worker_shard_micros.is_empty() {
-                out.push_str(" worker_shard_micros=");
-                encode_u64_list(&mut out, &s.worker_shard_micros);
-            }
-        }
-        Response::HelloAck { version } => {
-            let _ = write!(out, " ok hello ver={version}");
-        }
-        Response::Unit(unit) => {
-            let _ = write!(
-                out,
-                " ok unit bound={:?} updates={} formed={} micros={} capped={} depths=",
-                unit.final_bound,
-                unit.bound_updates,
-                unit.combinations_formed,
-                unit.micros,
-                unit.capped,
-            );
-            encode_u64_list(&mut out, &unit.depths);
-            if !unit.spans.is_empty() {
-                out.push_str(" spans=");
-                if let Err(e) = encode_span_records(&mut out, &unit.spans) {
-                    return encode_response_at(&Response::Error(e), version);
-                }
-            }
-            if !unit.trajectory.is_empty() {
-                out.push_str(" traj=");
-                encode_trajectory(&mut out, &unit.trajectory);
-            }
-            out.push_str(" rows=");
-            encode_unit_rows(&mut out, &unit.rows);
-        }
-        Response::AssignmentAck { generation, shards } => {
-            let _ = write!(out, " ok assigned gen={generation} shards=");
-            encode_usize_list(&mut out, shards);
-        }
-        Response::WorkerReport {
-            generation,
-            shards,
-            units,
-            depths,
-            relations,
-            lane_units,
-            lane_depths,
-            lane_micros,
-        } => {
-            let _ = write!(out, " ok worker gen={generation} shards=");
-            encode_usize_list(&mut out, shards);
-            let _ = write!(out, " units={units} depths={depths} relations={relations}");
-            // Per-shard lanes are omitted while empty (nothing executed),
-            // which is also what keeps pre-lane peers decodable.
-            if !lane_units.is_empty() {
-                out.push_str(" lane_units=");
-                encode_u64_list(&mut out, lane_units);
-            }
-            if !lane_depths.is_empty() {
-                out.push_str(" lane_depths=");
-                encode_u64_list(&mut out, lane_depths);
-            }
-            if !lane_micros.is_empty() {
-                out.push_str(" lane_micros=");
-                encode_u64_list(&mut out, lane_micros);
-            }
-        }
-        Response::Metrics(report) => {
-            out.push_str(" ok metrics samples=");
-            if let Err(e) = encode_metric_samples(&mut out, &report.samples) {
-                return encode_response_at(&Response::Error(e), version);
-            }
-        }
-        Response::Subscribed {
-            id,
-            algorithm,
-            rows,
-        } => {
-            let _ = write!(out, " ok subscribed id={id} algo={algorithm} rows=");
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                encode_row(&mut out, row);
-            }
-        }
-        Response::Unsubscribed { id } => {
-            let _ = write!(out, " ok unsubscribed id={id}");
-        }
-        Response::Notify(n) => {
-            let _ = write!(out, " ok notify id={} seq={} n={}", n.id, n.seq, n.total);
-            // Empty event lists omit the field (terminal error notify).
-            if !n.events.is_empty() {
-                out.push_str(" events=");
-                encode_events(&mut out, &n.events);
-            }
-            if let Some(fin) = &n.fin {
-                if !is_wire_safe_name(fin) {
-                    return encode_response_at(
-                        &Response::Error(ApiError::malformed(format!(
-                            "notify fin token {fin:?} is not wire-safe"
-                        ))),
-                        version,
-                    );
-                }
-                let _ = write!(out, " fin={fin}");
-            }
-        }
-        Response::Explain(report) => {
-            let _ = write!(
-                out,
-                " ok explain analyzed={} algo={} drive={} k={} rationale=",
-                u8::from(report.analyzed.is_some()),
-                report.algorithm,
-                report.drive,
-                report.k,
-            );
-            encode_text(&mut out, &report.rationale);
-            out.push_str(" stats=");
-            for (i, r) in report.relations.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                encode_text(&mut out, &r.name);
-                let _ = write!(out, ":{}:{:?}:{:?}", r.cardinality, r.skew, r.discount);
-            }
-            out.push_str(" uplans=");
-            for (i, u) in report.units.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                let _ = write!(out, "{}:{}:", u.shard, u.algorithm);
-                match u.dominance_period {
-                    Some(period) => {
-                        let _ = write!(out, "{period}");
-                    }
-                    None => out.push('-'),
-                }
-                out.push(':');
-                encode_text(&mut out, &u.rationale);
-            }
-            if let Some(analyzed) = &report.analyzed {
-                let _ = write!(
-                    out,
-                    " micros={} depths={} prof=",
-                    analyzed.latency_micros, analyzed.total_sum_depths
-                );
-                for (i, p) in analyzed.units.iter().enumerate() {
-                    if i > 0 {
-                        out.push(';');
-                    }
-                    let _ = write!(out, "{}:", p.shard);
-                    encode_text(&mut out, &p.cache);
-                    let _ = write!(out, ":{}:{}:{}:", u8::from(p.remote), p.depths, p.micros);
-                    encode_trajectory(&mut out, &p.trajectory);
-                }
-                out.push_str(" rows=");
-                for (i, row) in analyzed.rows.iter().enumerate() {
-                    if i > 0 {
-                        out.push(';');
-                    }
-                    encode_row(&mut out, row);
-                }
-            }
-        }
-        Response::Trace {
-            trace,
-            class,
-            spans,
-        } => {
-            let _ = write!(out, " ok trace id={trace} class={class} spans=");
-            if let Err(e) = encode_span_records(&mut out, spans) {
-                return encode_response_at(&Response::Error(e), version);
-            }
-        }
-        Response::Traces { traces } => {
-            out.push_str(" ok traces list=");
-            for (i, t) in traces.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                let _ = write!(out, "{}:{}:", t.trace, t.class);
-                encode_text(&mut out, &t.root);
-                let _ = write!(out, ":{}:{}", t.duration_micros, t.spans);
-            }
-        }
-        Response::Health(h) => {
-            let _ = write!(
-                out,
-                " ok health ready={} live={} role={} repl_us={} delta={} delta_age_ms={} \
-                 sub_depth={} subs={} traces={}",
-                h.ready,
-                h.live,
-                h.role,
-                h.replication_lag_micros,
-                h.delta_tuples,
-                h.oldest_delta_age_ms,
-                h.sub_queue_depth,
-                h.subscriptions,
-                h.traces_retained,
-            );
-            if !h.workers.is_empty() {
-                out.push_str(" workers=");
-                for (i, w) in h.workers.iter().enumerate() {
-                    if i > 0 {
-                        out.push(';');
-                    }
-                    encode_text(&mut out, &w.addr);
-                    let _ = write!(out, "@{}@{}", u8::from(w.reachable), w.idle_connections);
-                }
-            }
-        }
-        Response::Error(e) => {
-            // The message runs to the end of the line, so strip newlines.
-            let msg = e.message.replace(['\r', '\n'], " ");
-            let _ = write!(out, " err kind={} msg={}", e.kind.code(), msg);
-        }
+    debug_assert_eq!(version, PROTOCOL_VERSION, "there is one dialect");
+    let mut out = String::from(PREFIX);
+    if let Err(e) = put_response(response, &mut out) {
+        out.truncate(PREFIX.len());
+        let _ = put_response(&Response::Error(e), &mut out);
     }
     out
 }
@@ -1515,320 +1082,8 @@ pub fn encode_response_at(response: &Response, version: u32) -> String {
 /// `Ok(Response::Error(..))`; the `Err` side is for lines this codec cannot
 /// understand at all.
 pub fn decode_response(line: &str) -> Result<Response, ApiError> {
-    let (version, rest) = strip_version(line)?;
-    if let Some(err) = rest.strip_prefix("err ") {
-        let fields = parse_fields(err.split_once(" msg=").map(|(f, _)| f).unwrap_or(err))?;
-        let kind = require(&fields, "kind", "err")?;
-        let kind = ErrorKind::from_code(kind)
-            .ok_or_else(|| ApiError::malformed(format!("unknown error kind {kind:?}")))?;
-        let message = err
-            .split_once("msg=")
-            .map(|(_, m)| m.to_string())
-            .unwrap_or_default();
-        return Ok(Response::Error(ApiError { kind, message }));
-    }
-    let Some(ok) = rest.strip_prefix("ok ") else {
-        return Err(ApiError::malformed(format!(
-            "expected an ok/err response, got {rest:?}"
-        )));
-    };
-    let (form, rest) = ok
-        .split_once(' ')
-        .map(|(f, r)| (f, r.trim_start()))
-        .unwrap_or((ok, ""));
-    if version < 2
-        && matches!(
-            form,
-            "unit"
-                | "assigned"
-                | "worker"
-                | "metrics"
-                | "subscribed"
-                | "unsubscribed"
-                | "notify"
-                | "explain"
-                | "trace"
-                | "traces"
-                | "health"
-        )
-    {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("the {form:?} response form requires prj/2"),
-        ));
-    }
-    let fields = parse_fields(rest)?;
-    match form {
-        "registered" => Ok(Response::Registered {
-            id: parse_usize(require(&fields, "id", form)?)?,
-            name: require(&fields, "name", form)?.to_string(),
-            epoch: parse_u64(require(&fields, "epoch", form)?)?,
-            cardinality: parse_usize(require(&fields, "n", form)?)?,
-        }),
-        "appended" => Ok(Response::Appended {
-            id: parse_usize(require(&fields, "id", form)?)?,
-            epoch: parse_u64(require(&fields, "epoch", form)?)?,
-            cardinality: parse_usize(require(&fields, "n", form)?)?,
-        }),
-        "dropped" => Ok(Response::Dropped {
-            id: parse_usize(require(&fields, "id", form)?)?,
-            epoch: parse_u64(require(&fields, "epoch", form)?)?,
-        }),
-        "results" => Ok(Response::Results {
-            rows: parse_rows(field(&fields, "rows").unwrap_or(""))?,
-            from_cache: require(&fields, "cached", form)? == "true",
-            algorithm: require(&fields, "algo", form)?.to_string(),
-        }),
-        "item" => Ok(Response::StreamItem(parse_row(require(
-            &fields, "row", form,
-        )?)?)),
-        "end" => Ok(Response::StreamEnd {
-            count: parse_usize(require(&fields, "n", form)?)?,
-        }),
-        "stats" => Ok(Response::Stats(StatsReport {
-            queries: parse_u64(require(&fields, "queries", form)?)?,
-            cache_hits: parse_u64(require(&fields, "cache_hits", form)?)?,
-            executed: parse_u64(require(&fields, "executed", form)?)?,
-            relations: parse_usize(require(&fields, "relations", form)?)?,
-            cache_entries: parse_usize(require(&fields, "cache_entries", form)?)?,
-            cache_invalidations: parse_u64(require(&fields, "invalidations", form)?)?,
-            total_sum_depths: parse_u64(require(&fields, "sum_depths", form)?)?,
-            // Absent on lines from pre-sharding peers: default to one shard
-            // and no breakdown.
-            shards: field(&fields, "shards")
-                .map(parse_usize)
-                .transpose()?
-                .unwrap_or(1),
-            shard_depths: parse_u64_list(field(&fields, "shard_depths").unwrap_or(""))?,
-            shard_micros: parse_u64_list(field(&fields, "shard_micros").unwrap_or(""))?,
-            worker_shard_depths: parse_u64_list(
-                field(&fields, "worker_shard_depths").unwrap_or(""),
-            )?,
-            worker_shard_micros: parse_u64_list(
-                field(&fields, "worker_shard_micros").unwrap_or(""),
-            )?,
-        })),
-        "hello" => Ok(Response::HelloAck {
-            version: require(&fields, "ver", form)?
-                .parse()
-                .map_err(|_| ApiError::malformed("hello ver= is not a version number"))?,
-        }),
-        "unit" => Ok(Response::Unit(UnitOutcome {
-            rows: parse_unit_rows(field(&fields, "rows").unwrap_or(""))?,
-            final_bound: parse_f64(require(&fields, "bound", form)?)?,
-            depths: parse_u64_list(field(&fields, "depths").unwrap_or(""))?,
-            bound_updates: parse_u64(require(&fields, "updates", form)?)?,
-            combinations_formed: parse_u64(require(&fields, "formed", form)?)?,
-            micros: parse_u64(require(&fields, "micros", form)?)?,
-            capped: require(&fields, "capped", form)? == "true",
-            spans: parse_span_records(field(&fields, "spans").unwrap_or(""))?,
-            trajectory: parse_trajectory(field(&fields, "traj").unwrap_or(""))?,
-        })),
-        "assigned" => Ok(Response::AssignmentAck {
-            generation: parse_u64(require(&fields, "gen", form)?)?,
-            shards: parse_usize_list(field(&fields, "shards").unwrap_or(""))?,
-        }),
-        "worker" => Ok(Response::WorkerReport {
-            generation: parse_u64(require(&fields, "gen", form)?)?,
-            shards: parse_usize_list(field(&fields, "shards").unwrap_or(""))?,
-            units: parse_u64(require(&fields, "units", form)?)?,
-            depths: parse_u64(require(&fields, "depths", form)?)?,
-            relations: parse_usize(require(&fields, "relations", form)?)?,
-            lane_units: parse_u64_list(field(&fields, "lane_units").unwrap_or(""))?,
-            lane_depths: parse_u64_list(field(&fields, "lane_depths").unwrap_or(""))?,
-            lane_micros: parse_u64_list(field(&fields, "lane_micros").unwrap_or(""))?,
-        }),
-        "metrics" => Ok(Response::Metrics(MetricsReport {
-            samples: parse_metric_samples(field(&fields, "samples").unwrap_or(""))?,
-        })),
-        "subscribed" => Ok(Response::Subscribed {
-            id: parse_u64(require(&fields, "id", form)?)?,
-            algorithm: require(&fields, "algo", form)?.to_string(),
-            rows: parse_rows(field(&fields, "rows").unwrap_or(""))?,
-        }),
-        "unsubscribed" => Ok(Response::Unsubscribed {
-            id: parse_u64(require(&fields, "id", form)?)?,
-        }),
-        "notify" => Ok(Response::Notify(Notification {
-            id: parse_u64(require(&fields, "id", form)?)?,
-            seq: parse_u64(require(&fields, "seq", form)?)?,
-            total: parse_usize(require(&fields, "n", form)?)?,
-            events: parse_events(field(&fields, "events").unwrap_or(""))?,
-            fin: field(&fields, "fin").map(|f| f.to_string()),
-        })),
-        "explain" => {
-            let mut relations = Vec::new();
-            let stats = field(&fields, "stats").unwrap_or("");
-            if !stats.is_empty() {
-                for part in stats.split(';') {
-                    let mut it = part.splitn(4, ':');
-                    let (name, card, skew, discount) =
-                        match (it.next(), it.next(), it.next(), it.next()) {
-                            (Some(n), Some(c), Some(s), Some(d)) => (n, c, s, d),
-                            _ => {
-                                return Err(ApiError::malformed(format!(
-                                    "explain stats entry {part:?} is not name:card:skew:discount"
-                                )))
-                            }
-                        };
-                    relations.push(RelationPlanStat {
-                        name: parse_text(name)?,
-                        cardinality: parse_u64(card)?,
-                        skew: parse_f64(skew)?,
-                        discount: parse_f64(discount)?,
-                    });
-                }
-            }
-            let mut units = Vec::new();
-            let uplans = field(&fields, "uplans").unwrap_or("");
-            if !uplans.is_empty() {
-                for part in uplans.split(';') {
-                    let mut it = part.splitn(4, ':');
-                    let (shard, algo, period, rationale) =
-                        match (it.next(), it.next(), it.next(), it.next()) {
-                            (Some(s), Some(a), Some(p), Some(r)) => (s, a, p, r),
-                            _ => {
-                                return Err(ApiError::malformed(format!(
-                                    "explain uplans entry {part:?} is not \
-                                     shard:algo:period:rationale"
-                                )))
-                            }
-                        };
-                    units.push(UnitPlanReport {
-                        shard: parse_usize(shard)?,
-                        algorithm: algo.to_string(),
-                        dominance_period: if period == "-" {
-                            None
-                        } else {
-                            Some(parse_usize(period)?)
-                        },
-                        rationale: parse_text(rationale)?,
-                    });
-                }
-            }
-            let analyzed = if require(&fields, "analyzed", form)? == "1" {
-                let mut profiles = Vec::new();
-                let prof = field(&fields, "prof").unwrap_or("");
-                if !prof.is_empty() {
-                    for part in prof.split(';') {
-                        let mut it = part.splitn(6, ':');
-                        let (shard, cache, remote, depths, micros, traj) = match (
-                            it.next(),
-                            it.next(),
-                            it.next(),
-                            it.next(),
-                            it.next(),
-                            it.next(),
-                        ) {
-                            (Some(s), Some(c), Some(r), Some(d), Some(m), Some(t)) => {
-                                (s, c, r, d, m, t)
-                            }
-                            _ => {
-                                return Err(ApiError::malformed(format!(
-                                    "explain prof entry {part:?} is not \
-                                     shard:cache:remote:depths:micros:trajectory"
-                                )))
-                            }
-                        };
-                        profiles.push(UnitProfile {
-                            shard: parse_usize(shard)?,
-                            cache: parse_text(cache)?,
-                            remote: remote == "1",
-                            depths: parse_u64(depths)?,
-                            micros: parse_u64(micros)?,
-                            trajectory: parse_trajectory(traj)?,
-                        });
-                    }
-                }
-                Some(AnalyzeReport {
-                    rows: parse_rows(field(&fields, "rows").unwrap_or(""))?,
-                    latency_micros: parse_u64(require(&fields, "micros", form)?)?,
-                    total_sum_depths: parse_u64(require(&fields, "depths", form)?)?,
-                    units: profiles,
-                })
-            } else {
-                None
-            };
-            Ok(Response::Explain(ExplainReport {
-                algorithm: require(&fields, "algo", form)?.to_string(),
-                drive: parse_usize(require(&fields, "drive", form)?)?,
-                k: parse_usize(require(&fields, "k", form)?)?,
-                rationale: parse_text(require(&fields, "rationale", form)?)?,
-                relations,
-                units,
-                analyzed,
-            }))
-        }
-        "trace" => Ok(Response::Trace {
-            trace: parse_u64(require(&fields, "id", form)?)?,
-            class: require(&fields, "class", form)?.to_string(),
-            spans: parse_span_records(field(&fields, "spans").unwrap_or(""))?,
-        }),
-        "traces" => {
-            let mut traces = Vec::new();
-            let list = field(&fields, "list").unwrap_or("");
-            if !list.is_empty() {
-                for part in list.split(';') {
-                    let mut it = part.splitn(5, ':');
-                    let (trace, class, root, dur, spans) =
-                        match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-                            (Some(t), Some(c), Some(r), Some(d), Some(s)) => (t, c, r, d, s),
-                            _ => {
-                                return Err(ApiError::malformed(format!(
-                                    "trace listing entry {part:?} is not \
-                                     id:class:root:duration:spans"
-                                )))
-                            }
-                        };
-                    traces.push(TraceSummary {
-                        trace: parse_u64(trace)?,
-                        class: class.to_string(),
-                        root: parse_text(root)?,
-                        duration_micros: parse_u64(dur)?,
-                        spans: parse_usize(spans)?,
-                    });
-                }
-            }
-            Ok(Response::Traces { traces })
-        }
-        "health" => {
-            let mut workers = Vec::new();
-            let field_workers = field(&fields, "workers").unwrap_or("");
-            if !field_workers.is_empty() {
-                for part in field_workers.split(';') {
-                    let mut it = part.splitn(3, '@');
-                    let (addr, reachable, idle) = match (it.next(), it.next(), it.next()) {
-                        (Some(a), Some(r), Some(i)) => (a, r, i),
-                        _ => {
-                            return Err(ApiError::malformed(format!(
-                                "health worker entry {part:?} is not addr@reachable@idle"
-                            )))
-                        }
-                    };
-                    workers.push(WorkerHealth {
-                        addr: parse_text(addr)?,
-                        reachable: reachable == "1",
-                        idle_connections: parse_usize(idle)?,
-                    });
-                }
-            }
-            Ok(Response::Health(HealthReport {
-                ready: require(&fields, "ready", form)? == "true",
-                live: require(&fields, "live", form)? == "true",
-                role: require(&fields, "role", form)?.to_string(),
-                replication_lag_micros: parse_u64(require(&fields, "repl_us", form)?)?,
-                delta_tuples: parse_u64(require(&fields, "delta", form)?)?,
-                oldest_delta_age_ms: parse_u64(require(&fields, "delta_age_ms", form)?)?,
-                sub_queue_depth: parse_u64(require(&fields, "sub_depth", form)?)?,
-                subscriptions: parse_u64(require(&fields, "subs", form)?)?,
-                traces_retained: parse_u64(require(&fields, "traces", form)?)?,
-                workers,
-            }))
-        }
-        other => Err(ApiError::malformed(format!(
-            "unknown response form {other:?}"
-        ))),
-    }
+    let (verb, rest) = split_verb(strip_version(line)?);
+    take_response(verb, rest)
 }
 
 #[cfg(test)]
@@ -1837,14 +1092,14 @@ mod tests {
 
     fn request_round_trip(request: Request) {
         let line = encode_request(&request).expect("encode");
-        assert!(line.starts_with("prj/1 "), "versioned: {line}");
+        assert!(line.starts_with("prj/2 "), "versioned: {line}");
         let decoded = decode_request(&line).expect("decode");
         assert_eq!(decoded, request, "wire line was: {line}");
     }
 
     fn response_round_trip(response: Response) {
         let line = encode_response(&response);
-        assert!(line.starts_with("prj/1 "), "versioned: {line}");
+        assert!(line.starts_with("prj/2 "), "versioned: {line}");
         let decoded = decode_response(&line).expect("decode");
         assert_eq!(decoded, response, "wire line was: {line}");
     }
@@ -1960,10 +1215,9 @@ mod tests {
 
     #[test]
     fn stats_without_shard_fields_decode_with_defaults() {
-        // A pre-sharding peer's stats line still decodes (one shard, no
-        // breakdown).
-        let line = "prj/1 ok stats queries=1 cache_hits=0 executed=1 relations=1 \
-                    cache_entries=1 invalidations=0 sum_depths=9";
+        // The per-shard breakdowns are omitted while empty and decode empty.
+        let line = "prj/2 ok stats queries=1 cache_hits=0 executed=1 relations=1 \
+                    cache_entries=1 invalidations=0 sum_depths=9 shards=1";
         match decode_response(line).unwrap() {
             Response::Stats(s) => {
                 assert_eq!(s.shards, 1);
@@ -2001,22 +1255,14 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::Version);
         let err = decode_request("http/1.1 GET /").unwrap_err();
         assert_eq!(err.kind, ErrorKind::Malformed);
-    }
-
-    #[test]
-    fn both_supported_versions_decode_legacy_messages() {
-        // The original grammar is identical under either prefix, and the
-        // decoder reports which version the line arrived in.
-        for version in [1, 2] {
-            let (v, request) = decode_request_versioned(&format!("prj/{version} stats")).unwrap();
-            assert_eq!(v, version);
-            assert_eq!(request, Request::Stats);
-            let line = format!("prj/{version} ok end n=3");
-            assert_eq!(
-                decode_response(&line).unwrap(),
-                Response::StreamEnd { count: 3 }
-            );
-        }
+        // A prj/1 peer is refused with one typed version error, whatever
+        // the line says.
+        let err = decode_request("prj/1 stats").unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Version);
+        let err = decode_response("prj/1 ok end n=3").unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Version);
+        let err = encode_request_at(&Request::Stats, 1).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Version);
     }
 
     fn sample_unit_request() -> Request {
@@ -2050,6 +1296,7 @@ mod tests {
                 shards: Vec::new(),
             },
             Request::WorkerStats,
+            Request::Metrics,
         ] {
             let line = encode_request(&request).expect("encode");
             assert!(line.starts_with("prj/2 "), "versioned: {line}");
@@ -2129,30 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn subscription_verbs_on_v1_are_typed_version_errors() {
-        for line in [
-            "prj/1 subscribe rels=#0 q=0.0",
-            "prj/1 unsubscribe id=4",
-            "prj/1 ok subscribed id=0 algo=TBPA rows=",
-            "prj/1 ok unsubscribed id=0",
-            "prj/1 ok notify id=0 seq=1 n=0",
-        ] {
-            let err = if line.contains(" ok ") {
-                decode_response(line).unwrap_err()
-            } else {
-                decode_request(line).unwrap_err()
-            };
-            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
-        }
-        let err = encode_request_at(
-            &Request::Subscribe(QueryRequest::new(vec![0.into()], [0.0])),
-            1,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-    }
-
-    #[test]
     fn malformed_events_are_rejected() {
         for events in ["z:1", "x:", "x:1:junk", "m:1", "e:0", "s:0:abc", "m:1:2:3"] {
             let line = format!("prj/2 ok notify id=0 seq=1 n=0 events={events}");
@@ -2161,23 +1384,9 @@ mod tests {
     }
 
     #[test]
-    fn hello_ack_round_trips_in_both_dialects() {
-        // The negotiation answer is version-agnostic: a conservative peer
-        // probing with `prj/1 hello` gets a real ack.
-        let ack = Response::HelloAck { version: 2 };
-        for version in [1, 2] {
-            let line = encode_response_at(&ack, version);
-            assert!(
-                line.starts_with(&format!("prj/{version} ok hello")),
-                "{line}"
-            );
-            assert_eq!(decode_response(&line).unwrap(), ack);
-        }
-    }
-
-    #[test]
     fn cluster_responses_round_trip_at_v2() {
         for response in [
+            Response::HelloAck { version: 2 },
             Response::Unit(UnitOutcome {
                 rows: vec![
                     UnitRow {
@@ -2323,49 +1532,10 @@ mod tests {
                 }
             }),
         ] {
-            // A trace context lifts the query's floor to prj/2.
             let line = encode_request(&request).expect("encode");
             assert!(line.starts_with("prj/2 "), "versioned: {line}");
             assert_eq!(decode_request(&line).expect("decode"), request);
         }
-    }
-
-    #[test]
-    fn trace_context_on_v1_is_a_typed_version_error() {
-        for line in [
-            "prj/1 topk rels=#0 q=0.0 trace=7:0",
-            "prj/1 stream rels=#0 q=0.0 trace=7:3",
-        ] {
-            let err = decode_request(line).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
-        }
-        // Encoding a traced query at prj/1 is refused up front, not
-        // silently stripped.
-        let traced = Request::TopK(QueryRequest::new(vec![RelationRef::Id(0)], [0.0]).traced(
-            TraceContext {
-                trace: 9,
-                parent: 0,
-            },
-        ));
-        let err = encode_request_at(&traced, 1).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        // An untraced query still travels as a prj/1 line.
-        let plain = Request::TopK(QueryRequest::new(vec![RelationRef::Id(0)], [0.0]));
-        assert!(encode_request(&plain).unwrap().starts_with("prj/1 "));
-    }
-
-    #[test]
-    fn metrics_on_v1_is_a_typed_version_error() {
-        let err = decode_request("prj/1 metrics").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        let err = decode_response("prj/1 ok metrics samples=").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        let err = encode_request_at(&Request::Metrics, 1).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        // At prj/2 the verb is a plain round-trip.
-        let line = encode_request(&Request::Metrics).unwrap();
-        assert_eq!(line, "prj/2 metrics");
-        assert_eq!(decode_request(&line).unwrap(), Request::Metrics);
     }
 
     #[test]
@@ -2379,7 +1549,8 @@ mod tests {
             "prj/2 ok unit bound=0.0 updates=0 formed=0 micros=0 capped=false \
              depths= spans=a:1:0:0 rows=", // span missing a field
             "prj/2 ok metrics samples=name:x:1.0", // unknown kind
-            "prj/2 ok metrics samples=name{k=v:1.0", // unclosed labels
+            "prj/2 ok metrics samples=name:c:1.0:k", // label without =
+            "prj/2 ok metrics samples=name:c:1.0:k=a;b", // unsafe label value
             "prj/2 ok metrics samples=name:c",    // missing value
         ] {
             let rejected = if line.contains(" ok ") {
@@ -2409,78 +1580,20 @@ mod tests {
     }
 
     #[test]
-    fn cluster_messages_on_v1_are_typed_version_errors() {
-        for line in [
-            "prj/1 unit rels=#0 epochs=0 drive=0 shard=0 q=0.0 k=1 \
-             scoring=euclidean-log access=distance algo=tbrr",
-            "prj/1 assign gen=0 shards=",
-            "prj/1 wstats",
-        ] {
-            let err = decode_request(line).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
-        }
-        let err = decode_response(
-            "prj/1 ok unit bound=0.0 updates=0 formed=0 micros=0 \
-                                   capped=false depths= rows=",
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        // Encoding a cluster request at prj/1 is refused up front.
-        let err = encode_request_at(&sample_unit_request(), 1).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-    }
-
-    #[test]
-    fn post_v1_error_kinds_downgrade_when_answering_v1_peers() {
-        let error = ApiError::new(ErrorKind::WorkerUnavailable, "worker 2 is gone");
-        let line = encode_response_at(&Response::Error(error.clone()), 1);
-        assert!(line.starts_with("prj/1 err kind=internal"), "line: {line}");
-        match decode_response(&line).unwrap() {
-            Response::Error(e) => {
-                assert_eq!(e.kind, ErrorKind::Internal);
-                assert!(
-                    e.message.contains("worker-unavailable"),
-                    "msg: {}",
-                    e.message
-                );
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
-        // The same error at prj/2 keeps its kind.
-        let line = encode_response_at(&Response::Error(error.clone()), 2);
-        assert_eq!(decode_response(&line).unwrap(), Response::Error(error));
-    }
-
-    #[test]
-    fn responses_echo_the_requested_version() {
-        let end = Response::StreamEnd { count: 1 };
-        assert!(encode_response_at(&end, 1).starts_with("prj/1 "));
-        assert!(encode_response_at(&end, 2).starts_with("prj/2 "));
-        // A cluster-only form demanded at v1 degrades to a typed error
-        // rather than emitting a line the peer cannot parse.
-        let ack = Response::AssignmentAck {
-            generation: 1,
-            shards: vec![0],
-        };
-        let line = encode_response_at(&ack, 1);
-        assert!(line.starts_with("prj/1 err kind=internal"), "line: {line}");
-    }
-
-    #[test]
     fn malformed_requests_are_rejected() {
         for line in [
-            "prj/1",
-            "prj/1 frobnicate x=1",
-            "prj/1 register tuples=1:1",                // missing name
-            "prj/1 register name=a;b tuples=",          // unsafe name
-            "prj/1 topk q=0.0",                         // missing rels
-            "prj/1 topk rels= q=0.0",                   // empty rels
-            "prj/1 topk rels=#x q=0.0",                 // bad id
-            "prj/1 topk rels=a q=zero",                 // bad float
-            "prj/1 topk rels=a q=0.0 algo=newton",      // bad algorithm
-            "prj/1 topk rels=a q=0.0 access=telepathy", // bad access kind
-            "prj/1 append rel=a tuples=1,2",            // tuple missing score
-            "prj/1 stats k",                            // token without =
+            "prj/2",
+            "prj/2 frobnicate x=1",
+            "prj/2 register tuples=1:1",                // missing name
+            "prj/2 register name=a;b tuples=",          // unsafe name
+            "prj/2 topk q=0.0",                         // missing rels
+            "prj/2 topk rels= q=0.0",                   // empty rels
+            "prj/2 topk rels=#x q=0.0",                 // bad id
+            "prj/2 topk rels=a q=zero",                 // bad float
+            "prj/2 topk rels=a q=0.0 algo=newton",      // bad algorithm
+            "prj/2 topk rels=a q=0.0 access=telepathy", // bad access kind
+            "prj/2 append rel=a tuples=1,2",            // tuple missing score
+            "prj/2 stats k",                            // token without =
         ] {
             assert!(
                 decode_request(line).is_err(),
@@ -2719,36 +1832,6 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_verbs_on_v1_are_typed_version_errors() {
-        for line in [
-            "prj/1 explain analyze=0 rels=#0 q=0.0",
-            "prj/1 ftrace id=7",
-            "prj/1 traces",
-            "prj/1 health",
-        ] {
-            match decode_request(line) {
-                Err(e) => assert_eq!(e.kind, ErrorKind::Version, "line: {line}"),
-                Ok(other) => panic!("should be rejected: {other:?}"),
-            }
-        }
-        for line in [
-            "prj/1 ok explain analyzed=0 algo=CBRR drive=0 k=1 rationale=",
-            "prj/1 ok trace id=7 class=ok spans=",
-            "prj/1 ok traces list=",
-            "prj/1 ok health ready=true live=true role=single repl_us=0 delta=0 \
-             delta_age_ms=0 sub_depth=0 subs=0 traces=0",
-        ] {
-            match decode_response(line) {
-                Err(e) => assert_eq!(e.kind, ErrorKind::Version, "line: {line}"),
-                Ok(other) => panic!("should be rejected: {other:?}"),
-            }
-        }
-        // Demanding a diagnostics form at prj/1 degrades to a typed error.
-        let line = encode_response_at(&Response::Health(HealthReport::default()), 1);
-        assert!(line.starts_with("prj/1 err kind=internal"), "line: {line}");
-    }
-
-    #[test]
     fn percent_encoded_text_round_trips() {
         for text in [
             "",
@@ -2758,20 +1841,20 @@ mod tests {
             "ünïcode ✓",
         ] {
             let mut out = String::new();
-            encode_text(&mut out, text);
+            text.to_string().put(&mut out).expect("text always encodes");
             assert!(
                 out.chars()
                     .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '%')),
                 "encoded: {out}"
             );
-            assert_eq!(parse_text(&out).expect("decode"), text);
+            assert_eq!(String::take(&out).expect("decode"), text);
         }
         // Truncated and non-hex escapes are rejected, not panics.
-        assert!(parse_text("abc%").is_err());
-        assert!(parse_text("abc%2").is_err());
-        assert!(parse_text("abc%zz").is_err());
+        assert!(String::take("abc%").is_err());
+        assert!(String::take("abc%2").is_err());
+        assert!(String::take("abc%zz").is_err());
         // An escape sequence that breaks UTF-8 is rejected.
-        assert!(parse_text("%ff%fe").is_err());
+        assert!(String::take("%ff%fe").is_err());
     }
 
     #[test]
@@ -2784,5 +1867,69 @@ mod tests {
         assert!(!is_wire_safe_name("a=b"));
         assert!(!is_wire_safe_name("a;b"));
         assert!(!is_wire_safe_name("a,b"));
+    }
+
+    fn rejected(line: &str) -> ApiError {
+        let decoded = if line.starts_with("prj/2 ok ") {
+            decode_response(line).map(|r| format!("{r:?}"))
+        } else {
+            decode_request(line).map(|r| format!("{r:?}"))
+        };
+        match decoded {
+            Err(e) => e,
+            Ok(parsed) => panic!("{line:?} should be rejected, parsed as {parsed}"),
+        }
+    }
+
+    #[test]
+    fn booleans_have_one_spelling() {
+        let unit = "prj/2 ok unit bound=0.0 updates=0 formed=0 micros=0 depths= rows=";
+        let health = "prj/2 ok health role=single repl_us=0 delta=0 delta_age_ms=0 \
+                      sub_depth=0 subs=0 traces=0";
+        let explain = "prj/2 ok explain algo=CBRR drive=0 k=1 rationale= stats= uplans=";
+        let analyzed = "micros=1 depths=2 rows=";
+        for bad in ["1", "0", "maybe", "True", ""] {
+            for line in [
+                // Request flag.
+                format!("prj/2 explain analyze={bad} rels=a q=0"),
+                // Response flags.
+                format!("prj/2 ok results cached={bad} algo=TBRR rows="),
+                format!("{unit} capped={bad}"),
+                format!("{health} ready={bad} live=true"),
+                format!("{health} ready=true live={bad}"),
+                format!("{explain} analyzed={bad}"),
+                // Flags inside compound records.
+                format!("{explain} analyzed=true {analyzed} prof=0:fresh:{bad}:1:2:"),
+                format!("{health} ready=true live=true workers=a@{bad}@0"),
+            ] {
+                assert_eq!(rejected(&line).kind, ErrorKind::Malformed, "{line}");
+            }
+        }
+        // The accepted spelling decodes to both values.
+        for (word, value) in [("true", true), ("false", false)] {
+            let line = format!("prj/2 explain analyze={word} rels=a q=0");
+            match decode_request(&line).unwrap() {
+                Request::Explain { analyze, .. } => assert_eq!(analyze, value),
+                other => panic!("unexpected decode: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_and_repeated_keys_are_malformed() {
+        for line in [
+            "prj/2 topk rels=a q=0 kk=5",
+            "prj/2 topk rels=a q=0 k=3 k=9",
+            "prj/2 stats bogus=1",
+            "prj/2 stats bogus=1 bogus=2",
+            "prj/2 explain analyze=false rels=a q=0 analyze=true",
+            "prj/2 ok end n=1 n=2",
+            "prj/2 ok end n=1 rows=",
+            // Analysis fields behind analyzed=false are unknown keys.
+            "prj/2 ok explain algo=CBRR drive=0 k=1 rationale= stats= uplans= \
+             analyzed=false micros=1",
+        ] {
+            assert_eq!(rejected(line).kind, ErrorKind::Malformed, "{line}");
+        }
     }
 }

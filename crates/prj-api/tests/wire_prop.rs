@@ -1,4 +1,4 @@
-//! Property and robustness tests for the `prj/1` wire codec.
+//! Property and robustness tests for the `prj/2` wire codec.
 //!
 //! Three families of guarantees:
 //!
@@ -220,7 +220,7 @@ proptest! {
     fn random_requests_round_trip(seed in 0u64..u64::MAX) {
         let request = random_request(seed);
         let line = encode_request(&request).expect("wire-safe by construction");
-        prop_assert!(line.starts_with("prj/1 ") || line == "prj/1 stats");
+        prop_assert!(line.starts_with("prj/2 ") || line == "prj/2 stats");
         prop_assert!(!line.contains('\n'), "one frame per line");
         let decoded = decode_request(&line).expect("own encoding must decode");
         prop_assert_eq!(decoded, request, "line: {}", line);
@@ -265,7 +265,7 @@ proptest! {
         let _ = decode_response(&garbage);
         // Prefixing the version magic exercises the field parsers instead
         // of the version check.
-        let versioned = format!("prj/1 {garbage}");
+        let versioned = format!("prj/2 {garbage}");
         if let Err(e) = decode_request(&versioned) {
             prop_assert_eq!(e.kind, ErrorKind::Malformed);
         }
@@ -311,9 +311,10 @@ fn huge_payloads_round_trip() {
     assert_eq!(decode_response(&line).unwrap(), response);
 }
 
-/// The canonical malformed-frame corpus returns typed errors (kind
-/// `Malformed` or `Version`), never panics — including frames that are
-/// *almost* valid.
+/// The canonical malformed-frame corpus returns typed errors, never panics
+/// — including frames that are *almost* valid. A frame whose prefix is
+/// wrong may be `Malformed` or `Version`; a `prj/2` frame whose fields are
+/// wrong is `Malformed`; a `prj/1` frame is `Version`.
 #[test]
 fn malformed_corpus_is_rejected_with_typed_errors() {
     for line in [
@@ -321,21 +322,30 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
         "\n",
         "prj/",
         "prj/one stats",
-        "prj/1",
-        "prj/1 ",
-        "prj/1 register",
-        "prj/1 register name=",
-        "prj/1 register name=#tag tuples=1:1",
-        "prj/1 append rel=r tuples=1,2:",
-        "prj/1 append rel=r tuples=:5",
-        "prj/1 topk rels=r q=1,,2",
-        "prj/1 topk rels=r q=0 k=-3",
-        "prj/1 topk rels=r q=0 k=1e9999",
-        "prj/1 stream rels= q=0",
-        "prj/1 topk rels=#18446744073709551616 q=0", // usize overflow
-        "prj/1 stats extra",
+        "prj/2",
+        "prj/2 ",
+        "prj/2 register",
+        "prj/2 register name=",
+        "prj/2 register name=#tag tuples=1:1",
+        "prj/2 append rel=r tuples=1,2:",
+        "prj/2 append rel=r tuples=:5",
+        "prj/2 topk rels=r q=1,,2",
+        "prj/2 topk rels=r q=0 k=-3",
+        "prj/2 topk rels=r q=0 k=1e9999",
+        "prj/2 stream rels= q=0",
+        "prj/2 topk rels=#18446744073709551616 q=0", // usize overflow
+        "prj/2 stats extra",
+        "prj/2 topk rels=a q=0 kk=5",    // unknown key
+        "prj/2 topk rels=a q=0 k=3 k=9", // repeated key
+        "prj/2 stats bogus=1",           // key the verb does not declare
     ] {
         match decode_request(line) {
+            Err(e) if line.starts_with("prj/2") => assert_eq!(
+                e.kind,
+                ErrorKind::Malformed,
+                "line {line:?}: unexpected kind {:?}",
+                e.kind
+            ),
             Err(e) => assert!(
                 matches!(e.kind, ErrorKind::Malformed | ErrorKind::Version),
                 "line {line:?}: unexpected kind {:?}",
@@ -345,15 +355,21 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
         }
     }
     for line in [
-        "prj/1 ok",
-        "prj/1 ok nonsense",
-        "prj/1 ok registered id=x name=a epoch=0 n=1",
-        "prj/1 ok results cached=true rows=1@0:0", // missing algo
-        "prj/1 ok stats queries=1",                // missing fields
-        "prj/1 err",
-        "prj/1 err kind=doom msg=x",
+        "prj/2 ok",
+        "prj/2 ok nonsense",
+        "prj/2 ok registered id=x name=a epoch=0 n=1",
+        "prj/2 ok results cached=true rows=1@0:0", // missing algo
+        "prj/2 ok stats queries=1",                // missing fields
+        "prj/2 err",
+        "prj/2 err kind=doom msg=x",
     ] {
         match decode_response(line) {
+            Err(e) if line.starts_with("prj/2") => assert_eq!(
+                e.kind,
+                ErrorKind::Malformed,
+                "line {line:?}: unexpected kind {:?}",
+                e.kind
+            ),
             Err(e) => assert!(
                 matches!(e.kind, ErrorKind::Malformed | ErrorKind::Version),
                 "line {line:?}: unexpected kind {:?}",
@@ -361,5 +377,9 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
             ),
             Ok(response) => panic!("line {line:?} unexpectedly parsed: {response:?}"),
         }
+    }
+    match decode_request("prj/1 stats") {
+        Err(e) => assert_eq!(e.kind, ErrorKind::Version),
+        Ok(request) => panic!("a prj/1 frame unexpectedly parsed: {request:?}"),
     }
 }

@@ -2,9 +2,8 @@
 //! single driving-shard units on demand.
 //!
 //! A [`WorkerSession`] wraps a plain [`Session`] (so workers serve every
-//! ordinary `prj/1`/`prj/2` request — that is how the coordinator
-//! replicates catalog mutations to them) and adds the cluster-internal
-//! verbs:
+//! ordinary request — that is how the coordinator replicates catalog
+//! mutations to them) and adds the cluster-internal verbs:
 //!
 //! * [`Request::ExecuteUnit`] — replay one unit, planned and pinned by the
 //!   coordinator, against the replicated catalog. The request carries the

@@ -318,10 +318,20 @@ impl Session {
                     delivered: 0,
                 }));
             }
-            Request::Hello { max_version } => Response::HelloAck {
-                version: max_version
-                    .clamp(prj_api::MIN_PROTOCOL_VERSION, prj_api::PROTOCOL_VERSION),
-            },
+            Request::Hello { max_version } if max_version >= prj_api::PROTOCOL_VERSION => {
+                Response::HelloAck {
+                    version: prj_api::PROTOCOL_VERSION,
+                }
+            }
+            Request::Hello { max_version } => {
+                return Err(ApiError::new(
+                    ErrorKind::Version,
+                    format!(
+                        "peer speaks at most prj/{max_version}, this server speaks prj/{}",
+                        prj_api::PROTOCOL_VERSION
+                    ),
+                ));
+            }
             // Cluster-internal requests are only served by a cluster
             // worker (`prj-cluster`'s WorkerSession); answering with a
             // typed error instead of dropping the connection lets a
